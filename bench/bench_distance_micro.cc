@@ -144,7 +144,7 @@ BENCHMARK(BM_MyersBoundedLevenshteinSimilar)
 // The batched one-pattern-vs-many kernel (distance/myers_batch.h) against
 // the per-pair scalar kernel on the exact same workload: one pattern vs
 // 64 distinct candidate texts from the same length class — the verify
-// stage's length-sorted reduce-group regime (a group holds different
+// stage's bigraph-row regime (a row's counterparts are different
 // tokens sharing a token with the row, not edit chains of it, so the
 // scalar kernel's affix trimming finds little to trim). The batch pays
 // one Peq preprocessing per iteration where the per-pair baseline pays

@@ -54,8 +54,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "similar pairs: " << pairs->size()
             << " (candidates: " << info.distinct_candidates
-            << ", filtered: "
-            << info.length_filtered + info.histogram_filtered
+            << ", histogram-pruned: " << info.histogram_filtered
             << ", verified: " << info.verified_candidates << ")\n";
 
   // ---- 3. Similarity graph -> clusters. ----------------------------------

@@ -1,11 +1,10 @@
 // Batched one-pattern-vs-many Myers bounded Levenshtein (the batch form
 // of distance/myers.h): preprocess a pattern ONCE into its Peq bit-vector
 // table, then verify a whole span of candidate texts against it. The
-// verify stage lines up many texts per pattern (length-sorted reduce
-// groups, one bigraph row vs. a run of counterpart tokens), so the
-// per-call pattern preprocessing and the column loop's instruction
-// overhead amortize across the batch, and 2-4 texts advance together in
-// the SIMD lanes of one Hyyro recurrence.
+// verify stage lines up many texts per pattern (one bigraph row vs. a
+// run of counterpart tokens), so the per-call pattern preprocessing and
+// the column loop's instruction overhead amortize across the batch, and
+// 2-4 texts advance together in the SIMD lanes of one Hyyro recurrence.
 //
 // Contract. For every text, VerifyMany produces exactly
 // MyersBoundedLevenshtein(pattern, text, bound): the exact LD when it is

@@ -11,7 +11,14 @@ namespace tsj {
 double NsldLowerBoundFromAggregateLengths(size_t len_x, size_t len_y) {
   if (len_x > len_y) std::swap(len_x, len_y);
   if (len_y == 0) return 0.0;
-  return 1.0 - static_cast<double>(len_x) / static_cast<double>(len_y);
+  // 1 - min/max as one correctly rounded quotient (max - min) / max. That
+  // is bit for bit NsldFromSld(max - min, len_x, len_y), the NSLD the
+  // verify stage computes for the cheapest pair these lengths allow, so a
+  // pair whose computed NSLD meets a threshold is never pruned.
+  // The two-step 1.0 - min / max rounds twice and can land one ulp above
+  // it: lengths 2 and 3 give 0.33333333333333337, which exceeds 1.0 / 3,
+  // the NSLD of "a b" vs "a bc".
+  return static_cast<double>(len_y - len_x) / static_cast<double>(len_y);
 }
 
 double NsldUpperBoundFromAggregateLengths(size_t len_x, size_t len_y) {

@@ -26,7 +26,9 @@
 namespace tsj {
 
 /// Lemma 6 lower bound on NSLD given the two aggregate token lengths
-/// (order-insensitive): 1 - min(L)/max(L).
+/// (order-insensitive): 1 - min(L)/max(L), rounded exactly as
+/// NsldFromSld(max(L) - min(L), ...) so comparing it with a threshold never
+/// prunes a pair that verification would join.
 double NsldLowerBoundFromAggregateLengths(size_t len_x, size_t len_y);
 
 /// Lemma 6 upper bound on NSLD *as stated in the paper*: 2 / (min/max + 2).

@@ -19,10 +19,12 @@ namespace tsj {
 namespace {
 
 // A pre-dedup candidate record flowing into the dedup/verify job: either a
-// string-id pair from the shared-token pass, or a similar-token pair still
-// to be expanded against the token postings. The streaming pipeline only
-// ever materializes the similar-token form (shared-token pairs stream
-// straight from the generating reduce into the dedup shuffle).
+// length-compatible string-id pair from the shared-token pass, or a
+// similar-token pair still to be expanded against the token postings. The
+// streaming pipeline only ever materializes the similar-token form
+// (shared-token pairs stream straight from the generating reduce into the
+// dedup shuffle). Every emit site applies the Lemma 6 length filter, so
+// the dedup shuffle only ever holds pairs that can still join.
 struct RawCandidate {
   uint32_t a = 0;
   uint32_t b = 0;
@@ -58,7 +60,21 @@ void FlushVerifyCache(TokenPairCache* cache) {
   if (cache != nullptr) VerifyScratch().l1.FlushIfBatchReady(cache);
 }
 
-// Thread-safe counters shared by the pipeline lambdas.
+// One reduce group's verify counters, tallied without atomics by
+// FilterAndVerify and published once at the group boundary.
+struct VerifyTally {
+  uint64_t distinct_candidates = 0;
+  uint64_t histogram_filtered = 0;
+  uint64_t verified_candidates = 0;
+  uint64_t verify_work_units = 0;
+  uint64_t batched_verify_calls = 0;
+  uint64_t batched_verify_lanes_filled = 0;
+  uint64_t batched_verify_lane_slots = 0;
+  uint64_t peq_table_reuses = 0;
+};
+
+// Thread-safe counters shared by the pipeline lambdas. Emit sites add
+// once per token group or expansion, verify groups once per group.
 struct Counters {
   std::atomic<uint64_t> shared_token_candidates{0};
   std::atomic<uint64_t> similar_token_candidates{0};
@@ -71,34 +87,61 @@ struct Counters {
   std::atomic<uint64_t> batched_verify_lanes_filled{0};
   std::atomic<uint64_t> batched_verify_lane_slots{0};
   std::atomic<uint64_t> peq_table_reuses{0};
+
+  // Counts `generated` pre-dedup pairs of one emit site, `emitted` of
+  // which passed the length filter.
+  void AddEmitted(std::atomic<uint64_t>* source, uint64_t generated,
+                  uint64_t emitted) {
+    source->fetch_add(generated, std::memory_order_relaxed);
+    if (generated != emitted) {
+      length_filtered.fetch_add(generated - emitted,
+                                std::memory_order_relaxed);
+    }
+  }
+
+  void Publish(const VerifyTally& tally) {
+    const auto add = [](std::atomic<uint64_t>& counter, uint64_t value) {
+      if (value != 0) counter.fetch_add(value, std::memory_order_relaxed);
+    };
+    add(distinct_candidates, tally.distinct_candidates);
+    add(histogram_filtered, tally.histogram_filtered);
+    add(verified_candidates, tally.verified_candidates);
+    add(verify_work_units, tally.verify_work_units);
+    add(batched_verify_calls, tally.batched_verify_calls);
+    add(batched_verify_lanes_filled, tally.batched_verify_lanes_filled);
+    add(batched_verify_lane_slots, tally.batched_verify_lane_slots);
+    add(peq_table_reuses, tally.peq_table_reuses);
+  }
 };
 
-// Filter + verify one distinct candidate pair, with `a` resolved against
-// `corpus_a` and `b` against `corpus_b` (the same corpus twice for
-// self-joins); appends to `out` when the pair joins. Lossless filters only
-// (Sec. III-E). `cache` (may be null) is the run's corpus-wide token-pair
-// cache, only consulted on the token-id path.
+// The Lemma 6 length filter (Sec. III-E.1) as a pair predicate: false when
+// the aggregate lengths alone prove NSLD > t. Every candidate emit site
+// calls it (when TsjOptions::enable_length_filter is on), so pruned pairs
+// never enter the dedup shuffle and FilterAndVerify needs no length check.
+inline bool LengthCompatible(size_t la, size_t lb, double t) {
+  return NsldLowerBoundFromAggregateLengths(la, lb) <= t;
+}
+
+// Filter + verify one distinct, length-compatible candidate pair, with `a`
+// resolved against `corpus_a` and `b` against `corpus_b` (the same corpus
+// twice for self-joins); appends to `out` when the pair joins. Lossless
+// filters only (Sec. III-E). `cache` (may be null) is the run's
+// corpus-wide token-pair cache, only consulted on the token-id path.
 void FilterAndVerify(const Corpus& corpus_a, const Corpus& corpus_b,
-                     const TsjOptions& options, Counters* counters,
+                     const TsjOptions& options, VerifyTally* tally,
                      TokenPairCache* cache, uint32_t a, uint32_t b,
                      std::vector<TsjPair>* out) {
   const double t = options.threshold;
   const size_t la = corpus_a.aggregate_length(a);
   const size_t lb = corpus_b.aggregate_length(b);
-  if (options.enable_length_filter &&
-      NsldLowerBoundFromAggregateLengths(la, lb) > t) {
-    counters->length_filtered.fetch_add(1, std::memory_order_relaxed);
-    AddWorkUnits(1);
-    return;
-  }
   if (options.enable_histogram_filter &&
       NsldLowerBoundFromHistograms(corpus_a.length_histogram(a),
                                    corpus_b.length_histogram(b)) > t) {
-    counters->histogram_filtered.fetch_add(1, std::memory_order_relaxed);
+    ++tally->histogram_filtered;
     AddWorkUnits(corpus_a.tokens(a).size() + corpus_b.tokens(b).size() + 1);
     return;
   }
-  counters->verified_candidates.fetch_add(1, std::memory_order_relaxed);
+  ++tally->verified_candidates;
   // Final verification (Sec. III-F) through the budget-aware SLD engine —
   // the NSLD threshold converts to an integer SLD budget (tokenized/sld.h),
   // and the bounded path only ever skips work, never changes the decision
@@ -122,16 +165,11 @@ void FilterAndVerify(const Corpus& corpus_a, const Corpus& corpus_b,
           BoundedSld(scratch.x, scratch.y, budget, options.aligning, &scratch);
     }
     AddWorkUnits(verdict.work_units);
-    counters->verify_work_units.fetch_add(verdict.work_units,
-                                          std::memory_order_relaxed);
-    counters->batched_verify_calls.fetch_add(verdict.batched_verify_calls,
-                                             std::memory_order_relaxed);
-    counters->batched_verify_lanes_filled.fetch_add(
-        verdict.batched_verify_lanes_filled, std::memory_order_relaxed);
-    counters->batched_verify_lane_slots.fetch_add(
-        verdict.batched_verify_lane_slots, std::memory_order_relaxed);
-    counters->peq_table_reuses.fetch_add(verdict.peq_table_reuses,
-                                         std::memory_order_relaxed);
+    tally->verify_work_units += verdict.work_units;
+    tally->batched_verify_calls += verdict.batched_verify_calls;
+    tally->batched_verify_lanes_filled += verdict.batched_verify_lanes_filled;
+    tally->batched_verify_lane_slots += verdict.batched_verify_lane_slots;
+    tally->peq_table_reuses += verdict.peq_table_reuses;
     if (verdict.within_budget) {
       out->push_back(TsjPair{a, b, NsldFromSld(verdict.sld, la, lb)});
     }
@@ -142,7 +180,7 @@ void FilterAndVerify(const Corpus& corpus_a, const Corpus& corpus_b,
   const uint64_t work = SldWorkUnits(la, lb, scratch.x.size(),
                                      scratch.y.size(), options.aligning);
   AddWorkUnits(work);
-  counters->verify_work_units.fetch_add(work, std::memory_order_relaxed);
+  tally->verify_work_units += work;
   const int64_t sld = Sld(scratch.x, scratch.y, options.aligning);
   const double nsld = NsldFromSld(sld, la, lb);
   if (nsld <= t) {
@@ -164,20 +202,56 @@ TokenPairCache* SelectPairCache(const TsjOptions& options,
              : local;
 }
 
-// Length-sorted candidate batching: one reduce group verifies its
-// candidates in ascending aggregate-length order (ids break ties for
-// determinism), so consecutive bigraphs have similar dimensions and the
-// verify scratch, DP rows and cache lines stay resident instead of being
-// resized around by a random length sequence.
-template <typename LengthOf>
-void SortByAggregateLength(std::span<uint32_t> ids,
-                           const LengthOf& length_of) {
-  std::sort(ids.begin(), ids.end(), [&](uint32_t p, uint32_t q) {
-    const size_t lp = length_of(p);
-    const size_t lq = length_of(q);
-    if (lp != lq) return lp < lq;
-    return p < q;
-  });
+// A group's strings as (aggregate length, id), sorted ascending: the window
+// the emit sites walk so that the length filter ends each row at its first
+// rejected pair.
+using LengthWindow = std::vector<std::pair<size_t, uint32_t>>;
+
+// Calls emit(a, b), a < b, for every unordered pair of the ascending
+// `window` that passes the length filter (every pair when `filter` is
+// off); returns the number emitted. For la <= lb the bound 1 - la/lb only
+// grows with lb, and IEEE division is monotone, so breaking at a row's
+// first rejected pair is exact: emission costs O(f + survivors), not
+// O(f^2).
+template <typename Emit>
+uint64_t EmitLengthCompatiblePairs(const LengthWindow& window, double t,
+                                   bool filter, const Emit& emit) {
+  uint64_t emitted = 0;
+  for (size_t i = 0; i < window.size(); ++i) {
+    const auto [li, si] = window[i];
+    for (size_t j = i + 1; j < window.size(); ++j) {
+      const auto [lj, sj] = window[j];
+      if (filter && !LengthCompatible(li, lj, t)) break;
+      emit(std::min(si, sj), std::max(si, sj));
+      ++emitted;
+    }
+  }
+  return emitted;
+}
+
+// The R x P form: calls emit(r, p) for every length-compatible pair of the
+// ascending windows `rs` and `ps`; returns the number emitted. The p that
+// pass for one r form a contiguous run of `ps`, and both ends of that run
+// only move right as r grows, so the scan skips what is too short for
+// every later r and breaks past what is too long.
+template <typename Emit>
+uint64_t EmitLengthCompatibleCross(const LengthWindow& rs,
+                                   const LengthWindow& ps, double t,
+                                   bool filter, const Emit& emit) {
+  uint64_t emitted = 0;
+  size_t lo = 0;
+  for (const auto& [lr, r] : rs) {
+    while (filter && lo < ps.size() && ps[lo].first < lr &&
+           !LengthCompatible(lr, ps[lo].first, t)) {
+      ++lo;
+    }
+    for (size_t j = lo; j < ps.size(); ++j) {
+      if (filter && !LengthCompatible(lr, ps[j].first, t)) break;
+      emit(r, ps[j].second);
+      ++emitted;
+    }
+  }
+  return emitted;
 }
 
 // Sorts a reduce group's value run in place, dedups it, and returns the
@@ -354,19 +428,51 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
     }
   }
 
-  // Expands one similar-token pair into string-pair candidates through the
-  // postings (the dedup/verify stage's map side).
-  auto expand_token_pair = [&postings, &counters](
-                               const RawCandidate& cand, const auto& emit) {
+  const bool length_filter = options_.enable_length_filter;
+
+  // Streams every length-compatible pair of one token group's strings
+  // (Sec. III-C's reduce) to emit(a, b), a < b.
+  auto emit_token_group = [&corpus, &counters, t, length_filter](
+                              std::span<const uint32_t> strings,
+                              const auto& emit) {
+    thread_local LengthWindow window;
+    window.clear();
+    for (uint32_t s : strings) {
+      window.emplace_back(corpus.aggregate_length(s), s);
+    }
+    std::sort(window.begin(), window.end());
+    const uint64_t emitted =
+        EmitLengthCompatiblePairs(window, t, length_filter, emit);
+    AddWorkUnits(strings.size() + emitted);
+    counters.AddEmitted(&counters.shared_token_candidates,
+                        static_cast<uint64_t>(strings.size()) *
+                            (strings.size() - 1) / 2,
+                        emitted);
+  };
+
+  // Expands one similar-token pair into the length-compatible string-pair
+  // candidates of the postings (the dedup/verify stage's map side).
+  auto expand_token_pair = [&corpus, &postings, &counters, t,
+                            length_filter](const RawCandidate& cand,
+                                           const auto& emit) {
     AddWorkUnits(1 + postings[cand.a].size() * postings[cand.b].size());
+    uint64_t generated = 0;
+    uint64_t emitted = 0;
     for (uint32_t s1 : postings[cand.a]) {
+      const size_t l1 = corpus.aggregate_length(s1);
       for (uint32_t s2 : postings[cand.b]) {
         if (s1 == s2) continue;
-        counters.similar_token_candidates.fetch_add(1,
-                                                    std::memory_order_relaxed);
+        ++generated;
+        if (length_filter &&
+            !LengthCompatible(l1, corpus.aggregate_length(s2), t)) {
+          continue;
+        }
         emit(std::min(s1, s2), std::max(s1, s2));
+        ++emitted;
       }
     }
+    counters.AddEmitted(&counters.similar_token_candidates, generated,
+                        emitted);
   };
 
   const Corpus& corpus_ref = corpus;
@@ -393,47 +499,39 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
                                               std::vector<TsjPair>* out) {
     AddWorkUnits(others.size());
     const std::span<uint32_t> distinct = DedupRun(others);
-    counters.distinct_candidates.fetch_add(distinct.size(),
-                                           std::memory_order_relaxed);
-    SortByAggregateLength(distinct, [&](uint32_t s) {
-      return corpus_ref.aggregate_length(s);
-    });
+    VerifyTally tally;
+    tally.distinct_candidates = distinct.size();
     for (uint32_t other : distinct) {
-      FilterAndVerify(corpus_ref, corpus_ref, options_ref, &counters,
+      FilterAndVerify(corpus_ref, corpus_ref, options_ref, &tally,
                       pair_cache, std::min(key, other), std::max(key, other),
                       out);
     }
-    FlushVerifyCache(pair_cache);  // reduce-group boundary
+    counters.Publish(tally);  // reduce-group boundary
+    FlushVerifyCache(pair_cache);
   };
   // Likewise for grouping-on-both-strings: one distinct pair per group.
   auto verify_pair_group = [&corpus_ref, &options_ref, &counters, pair_cache](
                                const std::pair<uint32_t, uint32_t>& key,
                                size_t duplicates, std::vector<TsjPair>* out) {
-    counters.distinct_candidates.fetch_add(1, std::memory_order_relaxed);
     AddWorkUnits(duplicates);  // duplicate copies read and discarded
-    FilterAndVerify(corpus_ref, corpus_ref, options_ref, &counters,
-                    pair_cache, key.first, key.second, out);
-    FlushVerifyCache(pair_cache);  // reduce-group boundary
+    VerifyTally tally;
+    tally.distinct_candidates = 1;
+    FilterAndVerify(corpus_ref, corpus_ref, options_ref, &tally, pair_cache,
+                    key.first, key.second, out);
+    counters.Publish(tally);  // reduce-group boundary
+    FlushVerifyCache(pair_cache);
   };
 
   if (options_.enable_streaming_shuffle) {
     // ---- Fused streaming pipeline: candidate generation streams into the
     // dedup/verify shuffle; the pre-dedup candidate universe is never
-    // materialized. The similar-token pairs ride along as side inputs.
+    // materialized, and the shuffle holds only length-compatible pairs
+    // (every emit site applies the length filter). The similar-token
+    // pairs ride along as side inputs.
     auto map_tokens = [&](const uint32_t& s,
                           PartitionedEmitter<uint32_t, uint32_t>* out) {
       for_each_distinct_token(s, [&](TokenId token) { out->Emit(token, s); });
     };
-    // Emits every unordered pair of one token's strings straight into the
-    // dedup shuffle (Sec. III-C's reduce, fused with Job 2's map).
-    auto pair_count = [&counters](size_t group) {
-      const uint64_t pairs =
-          static_cast<uint64_t>(group) * (group - 1) / 2;
-      AddWorkUnits(pairs);
-      counters.shared_token_candidates.fetch_add(pairs,
-                                                 std::memory_order_relaxed);
-    };
-
     JobStats stage1_stats, stage2_stats;
     gauge.Add(token_pair_candidates.size());  // side-input vector
     std::vector<TsjPair> streamed;
@@ -442,14 +540,9 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
       auto reduce_shared = [&](const uint32_t& /*token*/,
                                std::span<uint32_t> strings,
                                PartitionedEmitter<PairKey, char>* out) {
-        pair_count(strings.size());
-        for (size_t i = 0; i < strings.size(); ++i) {
-          for (size_t j = i + 1; j < strings.size(); ++j) {
-            const uint32_t a = std::min(strings[i], strings[j]);
-            const uint32_t b = std::max(strings[i], strings[j]);
-            out->Emit(PairKey{a, b}, 0);
-          }
-        }
+        emit_token_group(strings, [&](uint32_t a, uint32_t b) {
+          out->Emit(PairKey{a, b}, 0);
+        });
       };
       auto map_expand = [&](const RawCandidate& cand,
                             PartitionedEmitter<PairKey, char>* out) {
@@ -484,13 +577,9 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
       auto reduce_shared = [&](const uint32_t& /*token*/,
                                std::span<uint32_t> strings,
                                PartitionedEmitter<uint32_t, uint32_t>* out) {
-        pair_count(strings.size());
-        for (size_t i = 0; i < strings.size(); ++i) {
-          for (size_t j = i + 1; j < strings.size(); ++j) {
-            emit_keyed(std::min(strings[i], strings[j]),
-                       std::max(strings[i], strings[j]), out);
-          }
-        }
+        emit_token_group(strings, [&](uint32_t a, uint32_t b) {
+          emit_keyed(a, b, out);
+        });
       };
       auto map_expand = [&](const RawCandidate& cand,
                             PartitionedEmitter<uint32_t, uint32_t>* out) {
@@ -519,40 +608,31 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
     }
     gauge.Sub(token_pair_candidates.size());
     results.insert(results.end(), streamed.begin(), streamed.end());
-    local_info.shared_token_candidates = counters.shared_token_candidates;
     local_info.pipeline.Add(std::move(stage1_stats));
     local_info.pipeline.Append(mass_stats);
     local_info.pipeline.Add(std::move(stage2_stats));
   } else {
     // ---- Legacy two-job pipeline (the differential reference). ----------
-    // Job 1 materializes the pre-dedup candidate universe; Job 2 expands,
-    // scatters, groups per key, and verifies.
+    // Job 1 materializes the length-compatible pre-dedup candidates; Job 2
+    // expands, scatters, groups per key, and verifies. Both jobs emit
+    // through the streaming path's emit helpers, so the candidate
+    // counters match it exactly.
     auto map_tokens = [&](const uint32_t& s,
                           Emitter<uint32_t, uint32_t>* out) {
       for_each_distinct_token(s, [&](TokenId token) { out->Emit(token, s); });
     };
-    auto reduce_shared = [](const uint32_t& /*token*/,
-                            std::vector<uint32_t>* strings,
-                            std::vector<RawCandidate>* out) {
-      const uint64_t pairs = strings->size() * (strings->size() - 1) / 2;
-      AddWorkUnits(pairs);
-      out->reserve(out->size() + pairs);
-      for (size_t i = 0; i < strings->size(); ++i) {
-        for (size_t j = i + 1; j < strings->size(); ++j) {
-          const uint32_t a = std::min((*strings)[i], (*strings)[j]);
-          const uint32_t b = std::max((*strings)[i], (*strings)[j]);
-          out->push_back(RawCandidate{a, b, /*is_token_pair=*/false});
-        }
-      }
+    auto reduce_shared = [&emit_token_group](const uint32_t& /*token*/,
+                                             std::vector<uint32_t>* strings,
+                                             std::vector<RawCandidate>* out) {
+      emit_token_group(*strings, [&](uint32_t a, uint32_t b) {
+        out->push_back(RawCandidate{a, b, /*is_token_pair=*/false});
+      });
     };
     JobStats shared_stats;
     std::vector<RawCandidate> candidates =
         RunMapReduce<uint32_t, uint32_t, uint32_t, RawCandidate>(
             "tsj-shared-token", string_ids, map_tokens, reduce_shared,
             mr_options, &shared_stats);
-    local_info.shared_token_candidates = candidates.size();
-    counters.shared_token_candidates.store(candidates.size(),
-                                           std::memory_order_relaxed);
     local_info.pipeline.Add(std::move(shared_stats));
     local_info.pipeline.Append(mass_stats);
     candidates.insert(candidates.end(), token_pair_candidates.begin(),
@@ -612,6 +692,7 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
     local_info.pipeline.Add(std::move(verify_stats));
   }
 
+  local_info.shared_token_candidates = counters.shared_token_candidates;
   local_info.similar_token_candidates = counters.similar_token_candidates;
   local_info.distinct_candidates = counters.distinct_candidates;
   local_info.length_filtered = counters.length_filtered;
@@ -907,22 +988,63 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
     tagged_ids.push_back(TagId(true, s));
   }
 
+  const bool length_filter = options_.enable_length_filter;
+
+  // Cross product of the R-side and P-side strings sharing one token (the
+  // reduce of Sec. III-C in its two-collection form): streams its
+  // length-compatible pairs to emit(r, p).
+  auto for_each_cross = [&r_corpus, &p_corpus, &counters, t, length_filter](
+                            std::span<const uint64_t> values,
+                            const auto& emit) {
+    thread_local LengthWindow rs;
+    thread_local LengthWindow ps;
+    rs.clear();
+    ps.clear();
+    for (uint64_t tagged : values) {
+      const uint32_t s = TagStringId(tagged);
+      if (TagIsP(tagged)) {
+        ps.emplace_back(p_corpus.aggregate_length(s), s);
+      } else {
+        rs.emplace_back(r_corpus.aggregate_length(s), s);
+      }
+    }
+    std::sort(rs.begin(), rs.end());
+    std::sort(ps.begin(), ps.end());
+    const uint64_t emitted =
+        EmitLengthCompatibleCross(rs, ps, t, length_filter, emit);
+    AddWorkUnits(values.size() + emitted);
+    counters.AddEmitted(&counters.shared_token_candidates,
+                        static_cast<uint64_t>(rs.size()) * ps.size(),
+                        emitted);
+  };
+
   // A similar token pair (j1, j2) joins R strings containing either token
-  // with P strings containing the other.
+  // with P strings containing the other; only length-compatible pairs are
+  // emitted.
   auto expand_token_pair = [&](const RawCandidate& cand, const auto& emit) {
     AddWorkUnits(1);
+    uint64_t generated = 0;
+    uint64_t emitted = 0;
     auto cross = [&](uint32_t jr, uint32_t jp) {
-      AddWorkUnits(r_postings[jr].size() * p_postings[jp].size());
+      const uint64_t pairs = r_postings[jr].size() * p_postings[jp].size();
+      AddWorkUnits(pairs);
+      generated += pairs;
       for (uint32_t r : r_postings[jr]) {
+        const size_t lr = r_corpus.aggregate_length(r);
         for (uint32_t p : p_postings[jp]) {
-          counters.similar_token_candidates.fetch_add(
-              1, std::memory_order_relaxed);
+          if (length_filter &&
+              !LengthCompatible(lr, p_corpus.aggregate_length(p), t)) {
+            continue;
+          }
           emit(r, p);
+          ++emitted;
         }
       }
     };
     cross(cand.a, cand.b);
     cross(cand.b, cand.a);
+    counters.AddEmitted(&counters.similar_token_candidates, generated,
+                        emitted);
   };
 
   const Corpus& r_ref = r_corpus;
@@ -944,35 +1066,32 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
                                      std::vector<TsjPair>* out) {
     AddWorkUnits(others.size());
     const std::span<uint32_t> distinct = DedupRun(others);
-    counters.distinct_candidates.fetch_add(distinct.size(),
-                                           std::memory_order_relaxed);
+    VerifyTally tally;
+    tally.distinct_candidates = distinct.size();
     const bool key_is_p = TagIsP(key);
     const uint32_t key_id = TagStringId(key);
-    // Length-sorted batching: `others` all come from the collection
-    // opposite the key.
-    const Corpus& other_corpus = key_is_p ? r_ref : p_ref;
-    SortByAggregateLength(distinct, [&](uint32_t s) {
-      return other_corpus.aggregate_length(s);
-    });
     for (uint32_t other : distinct) {
       const uint32_t r = key_is_p ? other : key_id;
       const uint32_t p = key_is_p ? key_id : other;
-      FilterAndVerify(r_ref, p_ref, options_, &counters, pair_cache, r, p,
-                      out);
+      FilterAndVerify(r_ref, p_ref, options_, &tally, pair_cache, r, p, out);
     }
-    FlushVerifyCache(pair_cache);  // reduce-group boundary
+    counters.Publish(tally);  // reduce-group boundary
+    FlushVerifyCache(pair_cache);
   };
   auto verify_pair_group = [&](const std::pair<uint32_t, uint32_t>& key,
                                size_t duplicates, std::vector<TsjPair>* out) {
-    counters.distinct_candidates.fetch_add(1, std::memory_order_relaxed);
     AddWorkUnits(duplicates);
-    FilterAndVerify(r_ref, p_ref, options_, &counters, pair_cache, key.first,
+    VerifyTally tally;
+    tally.distinct_candidates = 1;
+    FilterAndVerify(r_ref, p_ref, options_, &tally, pair_cache, key.first,
                     key.second, out);
-    FlushVerifyCache(pair_cache);  // reduce-group boundary
+    counters.Publish(tally);  // reduce-group boundary
+    FlushVerifyCache(pair_cache);
   };
 
   if (options_.enable_streaming_shuffle) {
-    // ---- Fused streaming pipeline (two-collection form). ----------------
+    // ---- Fused streaming pipeline (two-collection form; the shuffle
+    // holds only length-compatible pairs, as in SelfJoin). ---------------
     auto map_tokens = [&](const uint64_t& tagged,
                           PartitionedEmitter<uint32_t, uint64_t>* out) {
       const bool is_p = TagIsP(tagged);
@@ -982,25 +1101,6 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
       AddWorkUnits(1 + joint.size());
       for (uint32_t j : joint) out->Emit(j, tagged);
     };
-    // Cross product of the R-side and P-side strings sharing this token
-    // (the reduce of Sec. III-C in its two-collection form), streamed
-    // straight into the dedup shuffle.
-    auto for_each_cross = [&counters](std::span<uint64_t> values,
-                                      const auto& emit) {
-      uint64_t pairs = 0;
-      for (uint64_t tagged_r : values) {
-        if (TagIsP(tagged_r)) continue;
-        for (uint64_t tagged_p : values) {
-          if (!TagIsP(tagged_p)) continue;
-          emit(TagStringId(tagged_r), TagStringId(tagged_p));
-          ++pairs;
-        }
-      }
-      AddWorkUnits(values.size() + pairs);
-      counters.shared_token_candidates.fetch_add(pairs,
-                                                 std::memory_order_relaxed);
-    };
-
     JobStats stage1_stats, stage2_stats;
     gauge.Add(token_pair_candidates.size());  // side-input vector
     std::vector<TsjPair> streamed;
@@ -1071,7 +1171,6 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
     }
     gauge.Sub(token_pair_candidates.size());
     results.insert(results.end(), streamed.begin(), streamed.end());
-    local_info.shared_token_candidates = counters.shared_token_candidates;
     local_info.pipeline.Add(std::move(stage1_stats));
     local_info.pipeline.Append(mass_stats);
     local_info.pipeline.Add(std::move(stage2_stats));
@@ -1086,32 +1185,18 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
       AddWorkUnits(1 + joint.size());
       for (uint32_t j : joint) out->Emit(j, tagged);
     };
-    auto reduce_shared = [](const uint32_t& /*token*/,
-                            std::vector<uint64_t>* values,
-                            std::vector<RawCandidate>* out) {
-      // Cross product of the R-side and P-side strings sharing this token
-      // (the reduce of Sec. III-C, in its general two-collection form).
-      uint64_t pairs = 0;
-      for (uint64_t tagged_r : *values) {
-        if (TagIsP(tagged_r)) continue;
-        for (uint64_t tagged_p : *values) {
-          if (!TagIsP(tagged_p)) continue;
-          out->push_back(RawCandidate{TagStringId(tagged_r),
-                                      TagStringId(tagged_p),
-                                      /*is_token_pair=*/false});
-          ++pairs;
-        }
-      }
-      AddWorkUnits(values->size() + pairs);
+    auto reduce_shared = [&for_each_cross](const uint32_t& /*token*/,
+                                           std::vector<uint64_t>* values,
+                                           std::vector<RawCandidate>* out) {
+      for_each_cross(*values, [&](uint32_t r, uint32_t p) {
+        out->push_back(RawCandidate{r, p, /*is_token_pair=*/false});
+      });
     };
     JobStats shared_stats;
     std::vector<RawCandidate> candidates =
         RunMapReduce<uint64_t, uint32_t, uint64_t, RawCandidate>(
             "tsj-rp-shared-token", tagged_ids, map_tokens, reduce_shared,
             mr_options, &shared_stats);
-    local_info.shared_token_candidates = candidates.size();
-    counters.shared_token_candidates.store(candidates.size(),
-                                           std::memory_order_relaxed);
     local_info.pipeline.Add(std::move(shared_stats));
     local_info.pipeline.Append(mass_stats);
     candidates.insert(candidates.end(), token_pair_candidates.begin(),
@@ -1170,6 +1255,7 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
     local_info.pipeline.Add(std::move(verify_stats));
   }
 
+  local_info.shared_token_candidates = counters.shared_token_candidates;
   local_info.similar_token_candidates = counters.similar_token_candidates;
   local_info.distinct_candidates = counters.distinct_candidates;
   local_info.length_filtered = counters.length_filtered;

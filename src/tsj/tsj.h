@@ -6,9 +6,10 @@
 //             NLD-join over the token space (Sec. III-D, justified by
 //             Theorem 3);
 //   filter:   high-frequency tokens dropped up front (M, Sec. III-G.2);
-//             candidates pruned by the Lemma 6 length filter and the
-//             token-length-histogram SLD lower bound (Sec. III-E) — both
-//             lossless;
+//             the Lemma 6 length filter applied where candidates are
+//             emitted, so the dedup shuffle only carries length-compatible
+//             pairs; distinct candidates pruned by the token-length-
+//             histogram SLD lower bound (Sec. III-E) — both lossless;
 //   verify:   surviving pairs checked with the budget-aware SLD engine
 //             (tokenized/sld.h): the NSLD threshold becomes an integer SLD
 //             budget, and BoundedSld certifies "within" (with the exact
@@ -21,8 +22,6 @@
 //             corpus-wide TokenPairCache across candidates, and no
 //             per-candidate materialization; cross-corpus joins resolve
 //             ids into per-thread scratch via Corpus::MaterializeInto.
-//             Candidates of one reduce group verify in aggregate-length
-//             order so DP scratch and cache lines stay resident.
 //
 // Every stage runs on the in-process MapReduce engine and records JobStats,
 // so a run can be replayed through the simulated-cluster model at any
@@ -60,19 +59,28 @@ struct TsjRunInfo {
 
   /// Distinct tokens ignored because they occur in more than M strings.
   uint64_t dropped_tokens = 0;
-  /// Candidate pairs produced by the shared-token pass (pre-dedup).
+  /// Candidate pairs generated by the shared-token pass (pre-dedup,
+  /// counted before the length filter).
   uint64_t shared_token_candidates = 0;
   /// Similar (non-identical) token pairs found by the MassJoin NLD-join.
   uint64_t similar_token_pairs = 0;
-  /// Candidate pairs produced by expanding similar token pairs (pre-dedup).
+  /// Candidate pairs generated by expanding similar token pairs
+  /// (pre-dedup, counted before the length filter).
   uint64_t similar_token_candidates = 0;
-  /// Distinct candidate pairs after dedup.
+  /// Distinct length-compatible candidate pairs: what the dedup stage
+  /// hands to the histogram filter and verification. Equals
+  /// histogram_filtered + verified_candidates.
   uint64_t distinct_candidates = 0;
-  /// Candidates pruned by the length filter (Sec. III-E.1).
+  /// Pre-dedup pairs the length filter (Sec. III-E.1) dropped where they
+  /// were emitted (shared-token reduce, similar-token expansion), so they
+  /// never entered the dedup shuffle. Pairs, not distinct pairs: one pair
+  /// generated through several tokens counts once per emission. Hence
+  /// length_filtered + distinct_candidates <= shared_token_candidates +
+  /// similar_token_candidates. Zero when the filter is disabled.
   uint64_t length_filtered = 0;
-  /// Candidates pruned by the histogram filter (Sec. III-E.2).
+  /// Distinct candidates pruned by the histogram filter (Sec. III-E.2).
   uint64_t histogram_filtered = 0;
-  /// Candidates that reached full SLD verification.
+  /// Distinct candidates that reached full SLD verification.
   uint64_t verified_candidates = 0;
   /// Deterministic work units spent inside SLD verification (same units as
   /// SldWorkUnits). With budgeted verify this counts the operations

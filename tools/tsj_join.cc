@@ -142,9 +142,10 @@ int main(int argc, char** argv) {
               << "distinct tokens:      "
               << loaded->corpus.num_distinct_tokens() << "\n"
               << "dropped tokens (>M):  " << info.dropped_tokens << "\n"
+              << "length-pruned pairs:  " << info.length_filtered
+              << " (pre-dedup, at emit)\n"
               << "distinct candidates:  " << info.distinct_candidates << "\n"
-              << "filtered:             "
-              << info.length_filtered + info.histogram_filtered << "\n"
+              << "histogram-pruned:     " << info.histogram_filtered << "\n"
               << "verified:             " << info.verified_candidates << "\n"
               << "pairs:                " << info.result_pairs << "\n"
               << "wall seconds:         "
