@@ -337,11 +337,11 @@ using CombinerFn =
 /// Ready-made combiner for dedup-shaped reductions where every record of
 /// one key is interchangeable: keep the first, drop the rest (TSJ's
 /// pair-key candidate dedup, hmj's duplicate pair discoveries, massjoin's
-/// duplicate candidate pairs all combine this way).
+/// duplicate verified pairs all combine this way).
 template <typename Key, typename Value>
 CombinerFn<Key, Value> KeepFirstCombiner() {
   return [](const Key&, std::vector<Value>* values) {
-    if (values->size() > 1) values->resize(1);
+    if (values->size() > 1) values->erase(values->begin() + 1, values->end());
   };
 }
 

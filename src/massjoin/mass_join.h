@@ -2,25 +2,33 @@
 // Wang & Feng [19]), adapted from LD thresholds to NLD thresholds via
 // Lemmas 8 and 9, exactly as TSJ requires (Sec. III-D).
 //
-// Job 1 (candidate generation) — each token plays two roles:
+// Job 1 (massjoin-generate: signatures, pairing, verification) — each
+// token plays two roles:
 //  * segment role (token as the shorter side): for every feasible longer
 //    length ly, the token is partitioned into MaxLdForNld(T, ly)+1 even
-//    segments; each segment is emitted keyed by
+//    segments; each segment is emitted under the signature of
 //    (ly, |token|, segment index, chunk text);
 //  * substring role (token as the longer side): for every feasible shorter
 //    length lx, the multi-match-aware selection enumerates the substrings
 //    that could match a segment of an lx-length string, emitted under the
-//    same key shape.
-// The reducer pairs segment-role tokens with substring-role tokens sharing
-// a key, emitting candidate token-id pairs.
+//    signature of the same tuple.
+// A signature is one 64-bit hash of that tuple (a collision only merges
+// two groups, which can add candidates but never lose one). The reducer
+// pairs segment-role tokens with substring-role tokens sharing a
+// signature and verifies each pair on the spot: the Lemma 8 LD budget of
+// the pair's own lengths, the bounded Myers kernel, then NLD <= T. Only
+// matching pairs are emitted, keyed by the normalized (a, b) token ids
+// with their LD as the value.
 //
-// Job 2 (dedup + verify) — candidates are grouped by normalized pair id so
-// each distinct pair is verified exactly once with the banded Levenshtein
-// under the Lemma 8 budget.
+// Job 2 (massjoin-verify: dedup) — the verified pairs are grouped by
+// pair id, so a pair found under several signatures is reported once; a
+// keep-first combiner collapses the duplicates before they cross the
+// stage boundary, and the reducer builds the NldPair from the carried LD.
 //
 // The result equals PassJoinSelfNld on the same input (tested), but every
-// stage is a MapReduce job with recorded JobStats, so TSJ's cluster-time
-// simulation covers the token join too.
+// stage is a MapReduce job with recorded JobStats — the pairing reducer
+// charges banded-verify work units for every pair it checks — so TSJ's
+// cluster-time simulation covers the token join too.
 
 #ifndef TSJ_MASSJOIN_MASS_JOIN_H_
 #define TSJ_MASSJOIN_MASS_JOIN_H_
@@ -42,10 +50,11 @@ struct MassJoinOptions {
   /// partition count is planned from the token-length profile — each
   /// token's signature fan-out scales with its length and the threshold
   /// — instead of the fixed mapreduce.num_partitions knob (which remains
-  /// the fallback and the off-switch value). The signature key space is
-  /// fine-grained, so the profile is near-uniform and the planner mostly
-  /// picks the classic 4-per-worker granularity bounded by the key count.
-  /// Lossless: results are partition-count-invariant.
+  /// the fallback and the off-switch value). Signature keys are hashes
+  /// that spread evenly over the key space, so the profile is
+  /// near-uniform and the planner mostly picks the classic 4-per-worker
+  /// granularity bounded by the key count. Lossless: results are
+  /// partition-count-invariant.
   bool adaptive_partitions = true;
   /// External-memory shuffle spill (mapreduce/spill.h): when enabled AND
   /// mapreduce.memory_budget_records is set, the fused generate/verify
@@ -62,7 +71,9 @@ struct MassJoinOptions {
   /// tasks under that directory and a restarted run over the same tokens
   /// skips tasks whose checkpoint validates. A zero
   /// mapreduce.checkpoint_fingerprint is derived from the token
-  /// statistics and the threshold. Off by default: the engine-level dir
+  /// statistics and the threshold; a tag of the job's record layout is
+  /// folded into every fingerprint, supplied or derived, so checkpoints
+  /// sealed with another record shape are never restored. Off by default: the engine-level dir
   /// is stripped unless this is set. TSJ forwards its own switch here.
   bool enable_checkpointing = false;
 };

@@ -4,6 +4,8 @@
 // byte-identical results, corrupt or faulted checkpoints discarded and
 // re-run (never trusted, never fatal), and watchdog-flagged stragglers
 // hedged with a first-finisher-wins race that cannot change the answer.
+// MassJoin folds its record layout into the checkpoint identity, so a
+// job of the same name with other records is never restored.
 
 #include <algorithm>
 #include <atomic>
@@ -21,6 +23,7 @@
 #include "common/fault.h"
 #include "gtest/gtest.h"
 #include "mapreduce/mapreduce.h"
+#include "massjoin/mass_join.h"
 #include "tsj/tsj.h"
 #include "workload/ring_workload.h"
 
@@ -383,6 +386,99 @@ TEST_F(CheckpointTest, JoinLevelSwitchGatesTheEngineDirectory) {
   EXPECT_EQ(info.tasks_skipped_by_checkpoint, 0u);
   EXPECT_TRUE(!std::filesystem::exists(dir_) ||
               std::filesystem::is_empty(dir_));
+}
+
+// ---- MassJoin restart and record-layout identity -----------------------------
+
+// The token space TSJ hands MassJoin: the distinct tokens of the corpus.
+std::vector<std::string> RingTokens() {
+  const RingWorkload workload = GenerateRingWorkload(SmallWorkload());
+  std::vector<std::string> tokens;
+  for (TokenId t = 0; t < workload.corpus.num_distinct_tokens(); ++t) {
+    tokens.emplace_back(workload.corpus.token_text(t));
+  }
+  return tokens;
+}
+
+std::vector<std::tuple<uint32_t, uint32_t, uint32_t, double>> SortedRows(
+    const std::vector<NldPair>& pairs) {
+  std::vector<std::tuple<uint32_t, uint32_t, uint32_t, double>> sorted;
+  sorted.reserve(pairs.size());
+  for (const NldPair& p : pairs) sorted.emplace_back(p.a, p.b, p.ld, p.nld);
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
+}
+
+// Fixed task geometry, so a foreign job can seal under the same task and
+// partition counts; the fingerprint is caller-supplied, as TSJ does.
+MassJoinOptions CheckpointedMassJoin(const std::string& dir) {
+  MassJoinOptions options;
+  options.enable_checkpointing = true;
+  options.adaptive_partitions = false;
+  options.mapreduce.num_workers = 2;
+  options.mapreduce.num_partitions = 8;
+  options.mapreduce.checkpoint_dir = dir;
+  options.mapreduce.checkpoint_fingerprint = 4242;
+  return options;
+}
+
+TEST_F(CheckpointTest, MassJoinRestartSkipsSealedTasksWithIdenticalRows) {
+  const auto tokens = RingTokens();
+  const auto reference = SortedRows(MassJoinSelfNld(tokens, 0.2));
+  ASSERT_FALSE(reference.empty());
+  MassJoinOptions options = CheckpointedMassJoin(dir_);
+  options.mapreduce.max_task_retries = 0;
+
+  // Run 1 seals every map task, then fails its first reduce task.
+  ASSERT_TRUE(Arm("task.reduce=once").ok());
+  PipelineStats aborted;
+  EXPECT_FALSE(RunMassJoinSelfNld(tokens, 0.2, options, &aborted).ok());
+  EXPECT_GE(aborted.total_tasks_checkpointed(), 1u);
+
+  ASSERT_TRUE(Arm("").ok());
+  PipelineStats restarted;
+  auto result = RunMassJoinSelfNld(tokens, 0.2, options, &restarted);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(SortedRows(*result), reference);
+  EXPECT_GE(restarted.total_tasks_skipped_by_checkpoint(), 1u);
+  EXPECT_EQ(restarted.total_tasks_skipped_by_checkpoint(),
+            aborted.total_tasks_checkpointed());
+}
+
+TEST_F(CheckpointTest, MassJoinDoesNotRestoreAForeignRecordLayout) {
+  // A "massjoin-generate" job under the same name, fingerprint and task
+  // geometry, but with another record type: 8-byte keys and 8-byte values
+  // that would decode cleanly as MassJoin's own signature records. Only
+  // the record-layout tag in the job identity tells them apart.
+  const auto tokens = RingTokens();
+  const auto reference = SortedRows(MassJoinSelfNld(tokens, 0.2));
+  const MassJoinOptions options = CheckpointedMassJoin(dir_);
+
+  std::vector<uint32_t> ids(tokens.size());
+  for (uint32_t i = 0; i < ids.size(); ++i) ids[i] = i;
+  JobStats foreign_generate, foreign_verify;
+  RunFusedMapReduceSorted<uint32_t, uint64_t, uint64_t, uint32_t, uint32_t,
+                          uint32_t, uint32_t>(
+      "massjoin-generate", "massjoin-verify", ids,
+      [](const uint32_t& id, PartitionedEmitter<uint64_t, uint64_t>* out) {
+        out->Emit(id % 5, 0);
+      },
+      [](const uint64_t& key, std::span<uint64_t>,
+         PartitionedEmitter<uint32_t, uint32_t>* out) {
+        out->Emit(static_cast<uint32_t>(key), 0);
+      },
+      /*stage2_side_inputs=*/{},
+      [](const uint32_t&, PartitionedEmitter<uint32_t, uint32_t>*) {},
+      [](const uint32_t& key, std::span<uint32_t>,
+         std::vector<uint32_t>* out) { out->push_back(key); },
+      options.mapreduce, &foreign_generate, &foreign_verify);
+  ASSERT_GE(foreign_generate.tasks_checkpointed, 1u);
+
+  PipelineStats stats;
+  auto result = RunMassJoinSelfNld(tokens, 0.2, options, &stats);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(SortedRows(*result), reference);
+  EXPECT_EQ(stats.total_tasks_skipped_by_checkpoint(), 0u);
 }
 
 }  // namespace

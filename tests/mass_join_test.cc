@@ -1,7 +1,9 @@
 #include "massjoin/mass_join.h"
 
+#include <algorithm>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -32,6 +34,72 @@ std::vector<std::string> MakeTokens(Rng* rng, size_t n) {
   return std::vector<std::string>(distinct.begin(), distinct.end());
 }
 
+// Full result rows (a, b, ld, nld), sorted: the oracle comparisons check
+// the reported distances, not only which pairs were found.
+using Row = std::tuple<uint32_t, uint32_t, uint32_t, double>;
+
+std::vector<Row> SortedRows(const std::vector<NldPair>& pairs) {
+  std::vector<Row> rows;
+  rows.reserve(pairs.size());
+  for (const NldPair& p : pairs) rows.emplace_back(p.a, p.b, p.ld, p.nld);
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// Brute-force NLD self-join over every pair, with the exact LD.
+std::vector<Row> BruteForceRows(const std::vector<std::string>& tokens,
+                                double t) {
+  std::vector<Row> rows;
+  for (uint32_t i = 0; i < tokens.size(); ++i) {
+    for (uint32_t j = i + 1; j < tokens.size(); ++j) {
+      const uint32_t ld = Levenshtein(tokens[i], tokens[j]);
+      const double nld = NldFromLd(ld, tokens[i].size(), tokens[j].size());
+      if (nld <= t) rows.emplace_back(i, j, ld, nld);
+    }
+  }
+  return rows;  // generated in (a, b) order
+}
+
+// Distinct tokens of 65-130 characters, built as random bases plus a few
+// edited variants of each, so matching pairs exist and the Myers kernel
+// takes its blocked (> 64-character pattern) path.
+std::vector<std::string> MakeLongTokens(Rng* rng, size_t bases) {
+  std::set<std::string> distinct;
+  for (size_t b = 0; b < bases; ++b) {
+    const std::string base = testutil::RandomString(rng, 70, 125, 4);
+    distinct.insert(base);
+    for (int v = 0; v < 3; ++v) {
+      std::string variant = base;
+      const uint64_t edits = 1 + rng->Uniform(8);
+      for (uint64_t e = 0; e < edits; ++e) {
+        variant = testutil::RandomEdit(rng, variant);
+      }
+      if (variant.size() >= 65 && variant.size() <= 130) {
+        distinct.insert(variant);
+      }
+    }
+  }
+  return std::vector<std::string>(distinct.begin(), distinct.end());
+}
+
+// Periodic tokens ("aaaa...", "abab...", "aabaab...") and one-edit
+// variants of them: a substring-role token emits the same signature at
+// several start positions, so one reduce group holds the same token more
+// than once.
+std::vector<std::string> MakeRepeatedChunkTokens(Rng* rng) {
+  std::set<std::string> distinct;
+  for (const char* unit : {"a", "ab", "aab", "abc"}) {
+    for (size_t len = 2; len <= 24; ++len) {
+      std::string token;
+      while (token.size() < len) token += unit;
+      token.resize(len);
+      distinct.insert(token);
+      distinct.insert(testutil::RandomEdit(rng, token, 3));
+    }
+  }
+  return std::vector<std::string>(distinct.begin(), distinct.end());
+}
+
 class MassJoinTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(MassJoinTest, MatchesSerialPassJoin) {
@@ -57,7 +125,20 @@ TEST_P(MassJoinTest, MatchesBruteForce) {
       }
     }
   }
-  EXPECT_EQ(ToSet(MassJoinSelfNld(tokens, t)), expected);
+  const auto result = MassJoinSelfNld(tokens, t);
+  EXPECT_EQ(ToSet(result), expected);
+  EXPECT_EQ(SortedRows(result), BruteForceRows(tokens, t));
+}
+
+TEST_P(MassJoinTest, MatchesBruteForceOnLongAndPeriodicTokens) {
+  const double t = GetParam();
+  Rng rng(4200 + static_cast<uint64_t>(t * 1000));
+  for (const auto& tokens :
+       {MakeLongTokens(&rng, 8), MakeRepeatedChunkTokens(&rng)}) {
+    const auto expected = BruteForceRows(tokens, t);
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(SortedRows(MassJoinSelfNld(tokens, t)), expected);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Thresholds, MassJoinTest,
@@ -71,12 +152,59 @@ TEST(MassJoinTest, ReportsPerJobStats) {
   Rng rng(5000);
   const auto tokens = MakeTokens(&rng, 50);
   PipelineStats stats;
-  MassJoinSelfNld(tokens, 0.2, {}, &stats);
+  const auto pairs = MassJoinSelfNld(tokens, 0.2, {}, &stats);
+  ASSERT_FALSE(pairs.empty());
   ASSERT_EQ(stats.jobs.size(), 2u);
   EXPECT_EQ(stats.jobs[0].name, "massjoin-generate");
   EXPECT_EQ(stats.jobs[1].name, "massjoin-verify");
   EXPECT_EQ(stats.jobs[0].input_records, tokens.size());
   EXPECT_GT(stats.jobs[0].map_output_records, 0u);
+  // Pairs are verified in the pairing reducer: only matching pairs cross
+  // the stage boundary, so every verify group is one result pair.
+  EXPECT_EQ(stats.jobs[1].num_groups, pairs.size());
+  EXPECT_EQ(stats.jobs[1].reduce_output_records, pairs.size());
+  EXPECT_GE(stats.jobs[1].shuffle_records, pairs.size());
+}
+
+TEST(MassJoinTest, PairingReducerChargesBandedVerifyWorkUnits) {
+  // Two tokens at LD 1. Each signature group that pairs them charges its
+  // records, the banded-verify cost (2*tau+1)*min(|x|,|y|) + 1 of the
+  // check, and one unit for the emitted pair; nothing else is paired.
+  const std::vector<std::string> tokens = {"abcdefgh", "abcdefgx"};
+  PipelineStats stats;
+  const auto pairs = MassJoinSelfNld(tokens, 0.2, {}, &stats);
+  ASSERT_EQ(pairs.size(), 1u);
+  ASSERT_EQ(stats.jobs.size(), 2u);
+  uint64_t units = 0, records = 0;
+  for (const GroupLoad& load : stats.jobs[0].group_loads) {
+    units += load.work_units;
+    records += load.records;
+  }
+  const uint32_t tau = MaxLdForNld(0.2, 8, /*x_is_shorter=*/true);
+  const uint64_t per_pairing = (2 * uint64_t{tau} + 1) * 8 + 1 + 1;
+  ASSERT_GT(units, records);
+  EXPECT_EQ((units - records) % per_pairing, 0u);
+}
+
+TEST(MassJoinTest, RowsIdenticalAcrossWorkersAndSpill) {
+  Rng rng(6100);
+  const auto tokens = MakeTokens(&rng, 80);
+  const auto reference = SortedRows(MassJoinSelfNld(tokens, 0.2));
+  ASSERT_FALSE(reference.empty());
+  for (size_t workers : {1u, 4u}) {
+    for (bool spill : {false, true}) {
+      MassJoinOptions options;
+      options.mapreduce.num_workers = workers;
+      options.enable_shuffle_spill = spill;
+      options.mapreduce.memory_budget_records = 16;
+      PipelineStats stats;
+      auto result = RunMassJoinSelfNld(tokens, 0.2, options, &stats);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(SortedRows(*result), reference)
+          << "workers=" << workers << " spill=" << spill;
+      if (spill) EXPECT_GT(stats.total_spilled_records(), 0u);
+    }
+  }
 }
 
 TEST(MassJoinTest, ResultIndependentOfWorkerCount) {
