@@ -1,23 +1,24 @@
 // Ablation study of TSJ's design choices (DESIGN.md, not a paper figure):
 // measures, on one workload, what each lossless filter (Sec. III-E), the
-// dedup strategy, the verification engine tiers (budgeted verify,
-// token-id path, shared token-pair cache, per-worker L1 tier) and the
-// shuffle engine (streaming fusion, combiner, skew-adaptive partitioning)
-// contribute in candidate/verification counts, per-tier cache hit rates,
-// combiner record reduction, peak shuffle-resident records and measured
-// wall time. Complements Figs. 1-5, which report the paper's own
-// parameter sweeps.
+// dedup strategy, the verification engine (budgeted verify, token-id
+// path) and the shuffle engine (streaming fusion, combiner, skew-adaptive
+// partitioning) contribute in candidate/verification counts, combiner
+// record reduction, peak shuffle-resident records and measured wall time.
+// Complements Figs. 1-5, which report the paper's own parameter sweeps.
 //
-// A --workers sweep table shows the contention story directly: the same
-// full configuration at workers=1 vs workers=hw, with the L1/shared
-// hit split and flush-batch counts that explain where the multi-thread
-// win comes from.
+// One untimed warm-up join runs before the timed rows, so the first row
+// ("full") does not absorb the process's cold start; every row is still a
+// single timed run, so compare walls only where they differ well beyond
+// run-to-run noise.
+//
+// A workers sweep table runs the same full configuration at workers=1
+// and workers=hw.
 //
 // With --shuffle_json <path>, additionally writes the legacy-vs-streaming
 // shuffle counters (map output records, pipeline peak shuffle-resident
-// records, reduction factor) plus the cache-tier and combiner counters of
-// the workers=hw run as JSON, which CI merges into BENCH_verify.json so
-// the memory and contention wins are tracked in the perf trajectory.
+// records, reduction factor) plus the combiner counters and the workers
+// sweep as JSON, which CI merges into BENCH_verify.json so the memory
+// wins are tracked in the perf trajectory.
 //
 // The out-of-core spill row runs the full configuration under a memory
 // budget of a quarter of its own in-memory shuffle peak
@@ -25,14 +26,6 @@
 // counters plus the peak-resident gauge that proves the budget held;
 // --spill_json <path> emits them as JSON (merged into BENCH_verify.json
 // by CI alongside the shuffle counters).
-//
-// The batched-verify ablation row runs the full configuration with the
-// batched SIMD kernel off (per-pair scalar MyersBoundedLevenshtein, the
-// pre-batching hot path); the lanes% and peq reuse columns show the
-// kernel's SIMD lane occupancy and shared-Peq amortization on the rows
-// that batch. --verify_json <path> emits the kernel counters plus the
-// batched-vs-scalar wall/work comparison as JSON (merged into
-// BENCH_verify.json by CI).
 //
 // The fault-framework rows run the full configuration with the fault
 // injector explicitly disarmed (pinning the disabled FAULT_POINT cost —
@@ -84,12 +77,6 @@ struct SweepNumbers {
   double wall_ms = 0;
 };
 
-std::string PercentOrDash(uint64_t part, uint64_t whole) {
-  if (whole == 0) return "-";
-  return TablePrinter::Fmt(
-      100.0 * static_cast<double>(part) / static_cast<double>(whole), 1);
-}
-
 // "in->out" combiner column; "-" when no combiner ran.
 std::string CombinerColumn(const TsjRunInfo& info) {
   if (info.combiner_input_records == 0) return "-";
@@ -97,23 +84,10 @@ std::string CombinerColumn(const TsjRunInfo& info) {
          TablePrinter::Fmt(info.combiner_output_records);
 }
 
-// "filled/slots" lane-occupancy percentage; "-" when no row batched.
-std::string LanesColumn(const TsjRunInfo& info) {
-  if (info.batched_verify_lane_slots == 0) return "-";
-  return PercentOrDash(info.batched_verify_lanes_filled,
-                       info.batched_verify_lane_slots);
-}
-
-std::string PeqReuseColumn(const TsjRunInfo& info) {
-  if (info.batched_verify_calls == 0) return "-";
-  return TablePrinter::Fmt(info.peq_table_reuses);
-}
-
 // Returns false when the spill run failed (main exits non-zero so CI's
 // merge step never reads a missing/zeroed BENCH_spill.json as success).
 bool Run(const std::string& shuffle_json_path,
          const std::string& spill_json_path,
-         const std::string& verify_json_path,
          const std::string& fault_json_path,
          const std::string& ckpt_json_path) {
   bench::PrintHeader("Ablation", "contribution of each TSJ design choice");
@@ -169,33 +143,11 @@ bool Run(const std::string& shuffle_json_path,
     rows.push_back({"- budgeted verify (unbounded SLD)", o});
   }
   {
-    // Batched-verify ablation: per-pair scalar kernel calls, one Peq
-    // preprocessing per (token, token) edge — the pre-batching hot path.
-    // Identical pairs, NSLD values and work units by construction.
-    TsjOptions o = base;
-    o.enable_batched_verify = false;
-    rows.push_back({"- batched verify (per-pair scalar kernel)", o});
-  }
-  {
     // Token-id verification ablation: same engine, but every candidate
-    // materializes byte strings first (and loses the corpus-wide cache).
+    // materializes byte strings first.
     TsjOptions o = base;
     o.enable_token_id_verify = false;
     rows.push_back({"- token-id verify (materialized)", o});
-  }
-  {
-    // Cache-only ablation: token-id path kept, cross-candidate token-pair
-    // memoization dropped.
-    TsjOptions o = base;
-    o.enable_token_pair_cache = false;
-    rows.push_back({"- token pair cache", o});
-  }
-  {
-    // L1-tier ablation: shared shards kept, the per-worker front dropped
-    // — every gated probe pays the spinlocked shard round-trip again.
-    TsjOptions o = base;
-    o.enable_l1_verify_cache = false;
-    rows.push_back({"- L1 verify cache (shared shards only)", o});
   }
   {
     // Combiner ablation: every duplicate candidate record crosses the
@@ -211,17 +163,6 @@ bool Run(const std::string& shuffle_json_path,
     rows.push_back({"- adaptive partitions (fixed 64)", o});
   }
   {
-    // The PR 3 configuration: streaming shuffle, shared-shards-only
-    // cache, no combiner, fixed partitions — the baseline the
-    // contention-relief tier (L1 + combiner + adaptive partitions) is
-    // measured against.
-    TsjOptions o = base;
-    o.enable_l1_verify_cache = false;
-    o.enable_shuffle_combiner = false;
-    o.adaptive_partitions = false;
-    rows.push_back({"PR3 baseline (no L1/combiner/adaptive)", o});
-  }
-  {
     // Shuffle-engine ablation: the legacy two-job hash-shuffle pipeline
     // that materializes the pre-dedup candidate universe between jobs.
     // Identical pairs, NSLD values and candidate counters; only the
@@ -232,15 +173,25 @@ bool Run(const std::string& shuffle_json_path,
   }
 
   TablePrinter table({"configuration", "pairs", "distinct cands", "verified",
-                      "verify work", "L1 hit%", "shared hit%", "flushes",
-                      "comb in>out", "lanes%", "peq reuse", "peak shuffle",
+                      "verify work", "comb in>out", "peak shuffle",
                       "wall (ms)"});
+  auto add_row = [&table](const std::string& name, uint64_t pairs,
+                          const TsjRunInfo& info, double ms) {
+    table.AddRow({name, TablePrinter::Fmt(pairs),
+                  TablePrinter::Fmt(info.distinct_candidates),
+                  TablePrinter::Fmt(info.verified_candidates),
+                  TablePrinter::Fmt(info.verify_work_units),
+                  CombinerColumn(info),
+                  TablePrinter::Fmt(info.peak_shuffle_records),
+                  TablePrinter::Fmt(ms, 0)});
+  };
   uint64_t budgeted_work = 0, unbounded_work = 0;
   ShuffleNumbers streaming_numbers, legacy_numbers;
   TsjRunInfo full_info;
-  TsjRunInfo scalar_verify_info;
-  double full_wall_ms = 0, pr3_wall_ms = 0;
-  double scalar_verify_wall_ms = 0;
+  double full_wall_ms = 0;
+  // Untimed warm-up: the first join in a process pays page faults, thread
+  // start-up and allocator growth that later joins do not.
+  (void)TokenizedStringJoiner(base).SelfJoin(workload.corpus);
   for (const auto& row : rows) {
     Stopwatch watch;
     TsjRunInfo info;
@@ -255,35 +206,14 @@ bool Run(const std::string& shuffle_json_path,
       full_info = info;
       full_wall_ms = ms;
     }
-    if (row.name.rfind("PR3 baseline", 0) == 0) pr3_wall_ms = ms;
     if (!row.options.enable_budgeted_verify) {
       unbounded_work = info.verify_work_units;
-    }
-    if (!row.options.enable_batched_verify) {
-      scalar_verify_info = info;
-      scalar_verify_wall_ms = ms;
     }
     if (!row.options.enable_streaming_shuffle) {
       legacy_numbers = {info.pipeline.total_map_output_records(),
                         info.peak_shuffle_records, ms};
     }
-    const uint64_t l1_probes =
-        info.token_pair_cache_l1_hits + info.token_pair_cache_l1_misses;
-    const uint64_t shared_probes =
-        info.token_pair_cache_hits + info.token_pair_cache_misses;
-    table.AddRow({row.name, TablePrinter::Fmt(uint64_t{result->size()}),
-                  TablePrinter::Fmt(info.distinct_candidates),
-                  TablePrinter::Fmt(info.verified_candidates),
-                  TablePrinter::Fmt(info.verify_work_units),
-                  PercentOrDash(info.token_pair_cache_l1_hits, l1_probes),
-                  PercentOrDash(info.token_pair_cache_hits, shared_probes),
-                  info.token_pair_cache_flush_batches == 0
-                      ? std::string("-")
-                      : TablePrinter::Fmt(info.token_pair_cache_flush_batches),
-                  CombinerColumn(info), LanesColumn(info),
-                  PeqReuseColumn(info),
-                  TablePrinter::Fmt(info.peak_shuffle_records),
-                  TablePrinter::Fmt(ms, 0)});
+    add_row(row.name, result->size(), info, ms);
   }
   // ---- Out-of-core spill row: the full configuration under a memory
   // budget of a quarter of its own in-memory shuffle peak, so several
@@ -324,25 +254,8 @@ bool Run(const std::string& shuffle_json_path,
     spill_v1_wall_ms = v1_watch.ElapsedMillis();
     spill_v1_run_ok = v1_result.ok();
     if (result.ok()) {
-      const uint64_t l1_probes = spill_info.token_pair_cache_l1_hits +
-                                 spill_info.token_pair_cache_l1_misses;
-      const uint64_t shared_probes = spill_info.token_pair_cache_hits +
-                                     spill_info.token_pair_cache_misses;
-      table.AddRow(
-          {"+ shuffle spill (budget = peak/4)",
-           TablePrinter::Fmt(uint64_t{result->size()}),
-           TablePrinter::Fmt(spill_info.distinct_candidates),
-           TablePrinter::Fmt(spill_info.verified_candidates),
-           TablePrinter::Fmt(spill_info.verify_work_units),
-           PercentOrDash(spill_info.token_pair_cache_l1_hits, l1_probes),
-           PercentOrDash(spill_info.token_pair_cache_hits, shared_probes),
-           spill_info.token_pair_cache_flush_batches == 0
-               ? std::string("-")
-               : TablePrinter::Fmt(spill_info.token_pair_cache_flush_batches),
-           CombinerColumn(spill_info), LanesColumn(spill_info),
-           PeqReuseColumn(spill_info),
-           TablePrinter::Fmt(spill_info.peak_shuffle_records),
-           TablePrinter::Fmt(spill_wall_ms, 0)});
+      add_row("+ shuffle spill (budget = peak/4)", result->size(), spill_info,
+              spill_wall_ms);
     }
   }
 
@@ -358,26 +271,6 @@ bool Run(const std::string& shuffle_json_path,
   double fault_absorbed_wall_ms = 0;
   bool fault_absorbed_ok = false;
   {
-    auto add_fault_row = [&](const std::string& name, uint64_t pairs,
-                             const TsjRunInfo& info, double ms) {
-      const uint64_t l1_probes =
-          info.token_pair_cache_l1_hits + info.token_pair_cache_l1_misses;
-      const uint64_t shared_probes =
-          info.token_pair_cache_hits + info.token_pair_cache_misses;
-      table.AddRow({name, TablePrinter::Fmt(pairs),
-                    TablePrinter::Fmt(info.distinct_candidates),
-                    TablePrinter::Fmt(info.verified_candidates),
-                    TablePrinter::Fmt(info.verify_work_units),
-                    PercentOrDash(info.token_pair_cache_l1_hits, l1_probes),
-                    PercentOrDash(info.token_pair_cache_hits, shared_probes),
-                    info.token_pair_cache_flush_batches == 0
-                        ? std::string("-")
-                        : TablePrinter::Fmt(info.token_pair_cache_flush_batches),
-                    CombinerColumn(info), LanesColumn(info),
-                    PeqReuseColumn(info),
-                    TablePrinter::Fmt(info.peak_shuffle_records),
-                    TablePrinter::Fmt(ms, 0)});
-    };
     FaultInjector::Global().Configure("");  // explicit: disarmed
     Stopwatch watch;
     const auto result = TokenizedStringJoiner(base).SelfJoin(
@@ -385,7 +278,7 @@ bool Run(const std::string& shuffle_json_path,
     fault_disabled_wall_ms = watch.ElapsedMillis();
     fault_disabled_ok = result.ok();
     if (fault_disabled_ok) {
-      add_fault_row("+ fault framework (disabled)", result->size(),
+      add_row("+ fault framework (disabled)", result->size(),
                     fault_disabled_info, fault_disabled_wall_ms);
     }
     // Two absorbable start faults: one map task and one reduce task each
@@ -399,7 +292,7 @@ bool Run(const std::string& shuffle_json_path,
     fault_absorbed_ok = armed.ok();
     FaultInjector::Global().ConfigureFromEnv();
     if (fault_absorbed_ok) {
-      add_fault_row("+ fault injection (2 absorbed faults)", armed->size(),
+      add_row("+ fault injection (2 absorbed faults)", armed->size(),
                     fault_absorbed_info, fault_absorbed_wall_ms);
     }
   }
@@ -418,26 +311,6 @@ bool Run(const std::string& shuffle_json_path,
   bool restart_ok = false;
   uint64_t aborted_tasks_checkpointed = 0;
   {
-    auto add_ckpt_row = [&](const std::string& name, uint64_t pairs,
-                            const TsjRunInfo& info, double ms) {
-      const uint64_t l1_probes =
-          info.token_pair_cache_l1_hits + info.token_pair_cache_l1_misses;
-      const uint64_t shared_probes =
-          info.token_pair_cache_hits + info.token_pair_cache_misses;
-      table.AddRow({name, TablePrinter::Fmt(pairs),
-                    TablePrinter::Fmt(info.distinct_candidates),
-                    TablePrinter::Fmt(info.verified_candidates),
-                    TablePrinter::Fmt(info.verify_work_units),
-                    PercentOrDash(info.token_pair_cache_l1_hits, l1_probes),
-                    PercentOrDash(info.token_pair_cache_hits, shared_probes),
-                    info.token_pair_cache_flush_batches == 0
-                        ? std::string("-")
-                        : TablePrinter::Fmt(info.token_pair_cache_flush_batches),
-                    CombinerColumn(info), LanesColumn(info),
-                    PeqReuseColumn(info),
-                    TablePrinter::Fmt(info.peak_shuffle_records),
-                    TablePrinter::Fmt(ms, 0)});
-    };
     const std::string ckpt_dir =
         (std::filesystem::temp_directory_path() / "tsj-ablation-ckpt")
             .string();
@@ -452,7 +325,7 @@ bool Run(const std::string& shuffle_json_path,
     ckpt_wall_ms = ckpt_watch.ElapsedMillis();
     ckpt_ok = sealed.ok();
     if (ckpt_ok) {
-      add_ckpt_row("+ checkpointing (no fault)", sealed->size(), ckpt_info,
+      add_row("+ checkpointing (no fault)", sealed->size(), ckpt_info,
                    ckpt_wall_ms);
     }
     // Restart leg: wipe the directory, abort a checkpointing run with a
@@ -476,7 +349,7 @@ bool Run(const std::string& shuffle_json_path,
       restart_wall_ms = restart_watch.ElapsedMillis();
       restart_ok = restarted.ok();
       if (restart_ok) {
-        add_ckpt_row("+ restart after fault", restarted->size(), restart_info,
+        add_row("+ restart after fault", restarted->size(), restart_info,
                      restart_wall_ms);
       }
     }
@@ -578,20 +451,6 @@ bool Run(const std::string& shuffle_json_path,
               << legacy_numbers.peak_shuffle_records << " -> "
               << streaming_numbers.peak_shuffle_records << ")\n";
   }
-  if (full_info.batched_verify_calls > 0) {
-    std::cout << "batched verify: " << full_info.batched_verify_calls
-              << " row batches, lanes filled "
-              << full_info.batched_verify_lanes_filled << "/"
-              << full_info.batched_verify_lane_slots << " ("
-              << PercentOrDash(full_info.batched_verify_lanes_filled,
-                               full_info.batched_verify_lane_slots)
-              << "%), " << full_info.peq_table_reuses
-              << " Peq reuses; wall " << full_wall_ms << " ms vs "
-              << scalar_verify_wall_ms
-              << " ms per-pair scalar (verify work "
-              << full_info.verify_work_units << " vs "
-              << scalar_verify_info.verify_work_units << " units)\n";
-  }
   if (full_info.combiner_input_records > 0) {
     std::cout << "combiner reduction: " << full_info.combiner_input_records
               << " -> " << full_info.combiner_output_records
@@ -605,50 +464,34 @@ bool Run(const std::string& shuffle_json_path,
   }
   std::cout << "\nexpectations: removing filters raises 'verified' with the "
                "same result pairs; the approximations only shrink the "
-               "result; disabling budgeted verify, batched verify, token-id "
-               "verify, either cache tier, the combiner, adaptive "
-               "partitioning, or the streaming shuffle changes nothing but "
-               "the work/traffic/wall columns (byte-identical pairs and "
-               "NSLD values).\n";
+               "result; disabling budgeted verify, token-id verify, the "
+               "combiner, adaptive partitioning, or the streaming shuffle "
+               "changes nothing but the work/traffic/wall columns "
+               "(byte-identical pairs and NSLD values).\n";
 
-  // ---- Workers sweep: the contention picture in one table. ---------------
+  // ---- Workers sweep: the full configuration at 1 and hw workers. --------
   std::cout << "\n";
-  TablePrinter sweep_table({"configuration", "workers", "L1 hit%",
-                            "shared hit%", "flushes", "comb in>out",
-                            "peak shuffle", "wall (ms)"});
+  TablePrinter sweep_table(
+      {"workers", "comb in>out", "peak shuffle", "wall (ms)"});
   std::vector<SweepNumbers> sweep;
   std::vector<size_t> worker_counts = {1};
   if (hw > 1) worker_counts.push_back(hw);
   for (const size_t workers : worker_counts) {
-    for (const bool l1 : {true, false}) {
-      TsjOptions o = base;
-      o.mapreduce.num_workers = workers;
-      o.enable_l1_verify_cache = l1;
-      Stopwatch watch;
-      TsjRunInfo info;
-      const auto result =
-          TokenizedStringJoiner(o).SelfJoin(workload.corpus, &info);
-      const double ms = watch.ElapsedMillis();
-      if (!result.ok()) continue;
-      const uint64_t l1_probes =
-          info.token_pair_cache_l1_hits + info.token_pair_cache_l1_misses;
-      const uint64_t shared_probes =
-          info.token_pair_cache_hits + info.token_pair_cache_misses;
-      sweep_table.AddRow(
-          {l1 ? "full (L1 + batched flush)" : "shared shards only",
-           TablePrinter::Fmt(uint64_t{workers}),
-           PercentOrDash(info.token_pair_cache_l1_hits, l1_probes),
-           PercentOrDash(info.token_pair_cache_hits, shared_probes),
-           info.token_pair_cache_flush_batches == 0
-               ? std::string("-")
-               : TablePrinter::Fmt(info.token_pair_cache_flush_batches),
-           CombinerColumn(info), TablePrinter::Fmt(info.peak_shuffle_records),
-           TablePrinter::Fmt(ms, 0)});
-      if (l1) sweep.push_back(SweepNumbers{workers, info, ms});
-    }
+    TsjOptions o = base;
+    o.mapreduce.num_workers = workers;
+    Stopwatch watch;
+    TsjRunInfo info;
+    const auto result =
+        TokenizedStringJoiner(o).SelfJoin(workload.corpus, &info);
+    const double ms = watch.ElapsedMillis();
+    if (!result.ok()) continue;
+    sweep_table.AddRow({TablePrinter::Fmt(uint64_t{workers}),
+                        CombinerColumn(info),
+                        TablePrinter::Fmt(info.peak_shuffle_records),
+                        TablePrinter::Fmt(ms, 0)});
+    sweep.push_back(SweepNumbers{workers, info, ms});
   }
-  std::cout << "workers sweep (full configuration vs shared-shards-only "
-               "cache):\n";
+  std::cout << "workers sweep (full configuration):\n";
   sweep_table.Print(std::cout);
 
   if (!shuffle_json_path.empty()) {
@@ -675,38 +518,24 @@ bool Run(const std::string& shuffle_json_path,
                            streaming_numbers.peak_shuffle_records)
                  : 0.0)
          << ",\n"
-         << "  \"cache_tiers\": {\"l1_hits\": "
-         << full_info.token_pair_cache_l1_hits
-         << ", \"l1_misses\": " << full_info.token_pair_cache_l1_misses
-         << ", \"shared_hits\": " << full_info.token_pair_cache_hits
-         << ", \"shared_misses\": " << full_info.token_pair_cache_misses
-         << ", \"flush_batches\": "
-         << full_info.token_pair_cache_flush_batches
-         << ", \"flushed_records\": "
-         << full_info.token_pair_cache_flushed_records << "},\n"
          << "  \"combiner\": {\"records_in\": "
          << full_info.combiner_input_records
          << ", \"records_out\": " << full_info.combiner_output_records
          << "},\n"
          << "  \"shuffle_partitions\": " << full_info.shuffle_partitions
          << ",\n"
-         << "  \"full_wall_ms\": " << full_wall_ms
-         << ",\n"
-         << "  \"pr3_baseline_wall_ms\": " << pr3_wall_ms << ",\n"
+         << "  \"full_wall_ms\": " << full_wall_ms << ",\n"
          << "  \"workers_sweep\": [";
     for (size_t i = 0; i < sweep.size(); ++i) {
       const SweepNumbers& s = sweep[i];
       json << (i == 0 ? "" : ", ") << "{\"workers\": " << s.workers
-           << ", \"wall_ms\": " << s.wall_ms << ", \"l1_hits\": "
-           << s.info.token_pair_cache_l1_hits << ", \"shared_hits\": "
-           << s.info.token_pair_cache_hits << ", \"flush_batches\": "
-           << s.info.token_pair_cache_flush_batches
+           << ", \"wall_ms\": " << s.wall_ms
            << ", \"combiner_records_in\": " << s.info.combiner_input_records
            << ", \"combiner_records_out\": "
            << s.info.combiner_output_records << "}";
     }
     json << "]\n}\n";
-    std::cout << "\nshuffle + cache-tier counters written to "
+    std::cout << "\nshuffle + combiner counters written to "
               << shuffle_json_path << "\n";
   }
 
@@ -750,35 +579,6 @@ bool Run(const std::string& shuffle_json_path,
          << "  \"in_memory_wall_ms\": " << full_wall_ms << "\n"
          << "}\n";
     std::cout << "spill counters written to " << spill_json_path << "\n";
-  }
-
-  if (!verify_json_path.empty()) {
-    std::ofstream json(verify_json_path);
-    json << "{\n"
-         << "  \"batched_verify_calls\": " << full_info.batched_verify_calls
-         << ",\n"
-         << "  \"lanes_filled\": " << full_info.batched_verify_lanes_filled
-         << ",\n"
-         << "  \"lane_slots\": " << full_info.batched_verify_lane_slots
-         << ",\n"
-         << "  \"lane_fill_pct\": "
-         << (full_info.batched_verify_lane_slots > 0
-                 ? 100.0 *
-                       static_cast<double>(
-                           full_info.batched_verify_lanes_filled) /
-                       static_cast<double>(full_info.batched_verify_lane_slots)
-                 : 0.0)
-         << ",\n"
-         << "  \"peq_table_reuses\": " << full_info.peq_table_reuses << ",\n"
-         << "  \"batched_wall_ms\": " << full_wall_ms << ",\n"
-         << "  \"scalar_wall_ms\": " << scalar_verify_wall_ms << ",\n"
-         << "  \"batched_verify_work_units\": " << full_info.verify_work_units
-         << ",\n"
-         << "  \"scalar_verify_work_units\": "
-         << scalar_verify_info.verify_work_units << "\n"
-         << "}\n";
-    std::cout << "batched-verify counters written to " << verify_json_path
-              << "\n";
   }
 
   if (!fault_json_path.empty() && fault_disabled_ok) {
@@ -850,7 +650,6 @@ bool Run(const std::string& shuffle_json_path,
 int main(int argc, char** argv) {
   std::string shuffle_json_path;
   std::string spill_json_path;
-  std::string verify_json_path;
   std::string fault_json_path;
   std::string ckpt_json_path;
   for (int i = 1; i + 1 < argc; ++i) {
@@ -860,9 +659,6 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--spill_json") {
       spill_json_path = argv[i + 1];
     }
-    if (std::string(argv[i]) == "--verify_json") {
-      verify_json_path = argv[i + 1];
-    }
     if (std::string(argv[i]) == "--fault_json") {
       fault_json_path = argv[i + 1];
     }
@@ -870,8 +666,8 @@ int main(int argc, char** argv) {
       ckpt_json_path = argv[i + 1];
     }
   }
-  return tsj::Run(shuffle_json_path, spill_json_path, verify_json_path,
-                  fault_json_path, ckpt_json_path)
+  return tsj::Run(shuffle_json_path, spill_json_path, fault_json_path,
+                  ckpt_json_path)
              ? 0
              : 1;
 }

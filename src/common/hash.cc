@@ -13,16 +13,4 @@ uint64_t Fingerprint64(std::string_view data) {
   return Mix64(hash);
 }
 
-uint64_t Mix64(uint64_t x) {
-  // splitmix64 finalizer.
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-uint64_t HashCombine(uint64_t a, uint64_t b) {
-  return Mix64(a ^ (b + 0x9e3779b97f4a7c15ull + (a << 6) + (a >> 2)));
-}
-
 }  // namespace tsj

@@ -82,11 +82,6 @@ struct HmjOptions {
   /// (which remains the fallback/off value). Lossless: results are
   /// partition-count-invariant.
   bool adaptive_partitions = true;
-  /// Batched SIMD verify kernel inside the leaf verification loops
-  /// (batched-edge contract in tokenized/sld.h; same semantics as
-  /// TsjOptions::enable_batched_verify). Lossless; disable only to
-  /// measure the per-pair scalar baseline.
-  bool enable_batched_verify = true;
 
   Status Validate() const {
     if (threshold < 0.0 || threshold >= 1.0) {
@@ -108,13 +103,6 @@ struct HmjRunInfo {
   uint64_t pivot_filtered = 0;
   /// Total partition-assignment records (home + window replicas).
   uint64_t assignments = 0;
-  /// Batched-verify kernel counters (distance/myers_batch.h), summed
-  /// over the leaf verification loops; same semantics as the TsjRunInfo
-  /// fields of the same names.
-  uint64_t batched_verify_calls = 0;
-  uint64_t batched_verify_lanes_filled = 0;
-  uint64_t batched_verify_lane_slots = 0;
-  uint64_t peq_table_reuses = 0;
   /// Task-level fault-tolerance counters summed across the run's jobs
   /// (same semantics as the TsjRunInfo fields of the same names; see the
   /// fault contract in mapreduce.h).

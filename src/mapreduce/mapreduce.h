@@ -231,7 +231,7 @@ struct MapReduceOptions {
   /// reducing one partition (every engine mode; in the fused runner,
   /// after each stage-1 and each stage-2 partition). Lets reduce
   /// functions that batch per-thread side state across groups drain it at
-  /// a guaranteed coarser boundary — tsj uses it to flush each verify
+  /// a guaranteed coarser boundary — HMJ uses it to flush each verify
   /// worker's deferred token-pair-cache upserts (tokenized/sld.h), so
   /// everything a job computed reaches the shared tier by job end even
   /// when no group-level batch ever filled. Must be thread-safe across

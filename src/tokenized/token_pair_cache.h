@@ -65,8 +65,8 @@
 // Observability: the shared tier counts its own hits/misses exactly; the
 // L1 accumulates hit/miss counts locally (no atomics on the probe path)
 // and publishes them into the shared tier's relaxed counters at Flush,
-// together with the flush batch/record totals — which is how
-// TsjRunInfo/bench_ablation report per-tier hit rates.
+// together with the flush batch/record totals, so a caller reads per-tier
+// hit rates off the shared cache alone.
 
 #ifndef TSJ_TOKENIZED_TOKEN_PAIR_CACHE_H_
 #define TSJ_TOKENIZED_TOKEN_PAIR_CACHE_H_

@@ -8,7 +8,6 @@
 #include "common/status.h"
 #include "mapreduce/mapreduce.h"
 #include "tokenized/sld.h"
-#include "tokenized/token_pair_cache.h"
 
 namespace tsj {
 
@@ -85,15 +84,14 @@ struct TsjOptions {
   /// pairs and NSLD values. Requires enable_budgeted_verify; cross-corpus
   /// joins fall back to the materialized path automatically. Disable only
   /// to measure the materialized baseline (bench_ablation does).
+  ///
+  /// Either path computes every bigraph edge with the scalar bounded
+  /// Myers kernel and no token-pair cache: on the ring workload's short
+  /// tokens one kernel pass is cheaper than a cache probe, and dropping
+  /// the cache and the batched SIMD kernel cut the median join wall of
+  /// perfbench `ring` from 0.28 to 0.14 s (10 interleaved pairs, 4-vCPU
+  /// VM).
   bool enable_token_id_verify = true;
-
-  /// Corpus-wide memoization of token-pair edge distances
-  /// (tokenized/token_pair_cache.h): duplicate token pairs across
-  /// *candidates* skip the LD kernel entirely. Only effective on the
-  /// token-id verification path. Lossless: a served entry equals what the
-  /// kernel would have computed. Disable only to measure the uncached
-  /// baseline (bench_ablation does).
-  bool enable_token_pair_cache = true;
 
   /// Streaming shuffle engine: candidate generation, dedup and verify run
   /// as one fused sorted-shuffle job (RunFusedMapReduceSorted) — the
@@ -117,30 +115,6 @@ struct TsjOptions {
   /// Disable only to measure the combiner-free baseline (bench_ablation
   /// does).
   bool enable_shuffle_combiner = true;
-
-  /// Per-worker L1 tier of the token-pair cache (two-tier probe contract
-  /// in tokenized/sld.h): cache probes hit a lock-free table private to
-  /// the verify thread first, shared-shard traffic happens only on L1
-  /// misses, and shared upserts flush in per-reduce-group batches —
-  /// taking each shard spinlock once per batch instead of once per edge.
-  /// Lossless: every served value equals what the kernel would compute.
-  /// Only effective when the token pair cache itself is enabled. Disable
-  /// only to measure the shared-shards-only baseline (bench_ablation
-  /// does).
-  bool enable_l1_verify_cache = true;
-
-  /// Batched SIMD verify kernel (batched-edge contract in
-  /// tokenized/sld.h): each bigraph row's cache-miss edges run as ONE
-  /// one-pattern-vs-many Myers batch — the row token's Peq table built
-  /// once and shared across the length-sorted survivors, 2-4 texts per
-  /// SIMD pass (SSE2/AVX2 with a portable fallback; CC_VERIFY_SIMD
-  /// pins a backend). Lossless: values, decisions, work units and cache
-  /// traffic are byte-identical to the per-pair scalar kernel (the
-  /// batched differential sweep pins it). Disable only to measure the
-  /// per-pair baseline (bench_ablation does). TsjRunInfo reports
-  /// batched_verify_calls / lanes_filled / lane_slots /
-  /// peq_table_reuses.
-  bool enable_batched_verify = true;
 
   /// External-memory shuffle spill (mapreduce/spill.h; streaming mode
   /// only): when enabled AND mapreduce.memory_budget_records is set, the
@@ -186,13 +160,6 @@ struct TsjOptions {
   /// that); only load balance and wall change. Disable to control the
   /// partition count exactly (the differential partition sweeps do).
   bool adaptive_partitions = true;
-
-  /// Optional externally owned cache to use instead of the per-run one,
-  /// letting repeated joins over the same corpus start warm. Must have
-  /// been used only with the corpus being joined (token ids are
-  /// corpus-relative). Ignored unless the token-id path and the cache are
-  /// enabled. Not owned.
-  TokenPairCache* shared_token_pair_cache = nullptr;
 
   /// MapReduce engine configuration shared by all pipeline jobs.
   MapReduceOptions mapreduce;

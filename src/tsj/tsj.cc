@@ -42,24 +42,6 @@ inline uint32_t PickGroupKey(uint32_t a, uint32_t b) {
   return (lt == ((ha + hb) & 1u)) ? a : b;
 }
 
-// The verify thread's workspace, shared by FilterAndVerify and the
-// reduce-group boundaries that flush its L1 cache tier: the deferred
-// shared-shard upserts and the locally counted L1 statistics must drain
-// once per group (tokenized/sld.h, two-tier probe contract), so the
-// scratch cannot stay private to FilterAndVerify.
-SldVerifyScratch& VerifyScratch() {
-  thread_local SldVerifyScratch scratch;
-  return scratch;
-}
-
-// Reduce-group boundary: publishes the thread's L1 hit/miss counts and —
-// once enough deferred upserts accumulated — drains them into the shared
-// tier in one shard-grouped batch (tiny groups batch across groups).
-// Harmless when the cache or the L1 tier is disabled.
-void FlushVerifyCache(TokenPairCache* cache) {
-  if (cache != nullptr) VerifyScratch().l1.FlushIfBatchReady(cache);
-}
-
 // One reduce group's verify counters, tallied without atomics by
 // FilterAndVerify and published once at the group boundary.
 struct VerifyTally {
@@ -67,10 +49,6 @@ struct VerifyTally {
   uint64_t histogram_filtered = 0;
   uint64_t verified_candidates = 0;
   uint64_t verify_work_units = 0;
-  uint64_t batched_verify_calls = 0;
-  uint64_t batched_verify_lanes_filled = 0;
-  uint64_t batched_verify_lane_slots = 0;
-  uint64_t peq_table_reuses = 0;
 };
 
 // Thread-safe counters shared by the pipeline lambdas. Emit sites add
@@ -83,10 +61,6 @@ struct Counters {
   std::atomic<uint64_t> histogram_filtered{0};
   std::atomic<uint64_t> verified_candidates{0};
   std::atomic<uint64_t> verify_work_units{0};
-  std::atomic<uint64_t> batched_verify_calls{0};
-  std::atomic<uint64_t> batched_verify_lanes_filled{0};
-  std::atomic<uint64_t> batched_verify_lane_slots{0};
-  std::atomic<uint64_t> peq_table_reuses{0};
 
   // Counts `generated` pre-dedup pairs of one emit site, `emitted` of
   // which passed the length filter.
@@ -107,10 +81,6 @@ struct Counters {
     add(histogram_filtered, tally.histogram_filtered);
     add(verified_candidates, tally.verified_candidates);
     add(verify_work_units, tally.verify_work_units);
-    add(batched_verify_calls, tally.batched_verify_calls);
-    add(batched_verify_lanes_filled, tally.batched_verify_lanes_filled);
-    add(batched_verify_lane_slots, tally.batched_verify_lane_slots);
-    add(peq_table_reuses, tally.peq_table_reuses);
   }
 };
 
@@ -125,12 +95,10 @@ inline bool LengthCompatible(size_t la, size_t lb, double t) {
 // Filter + verify one distinct, length-compatible candidate pair, with `a`
 // resolved against `corpus_a` and `b` against `corpus_b` (the same corpus
 // twice for self-joins); appends to `out` when the pair joins. Lossless
-// filters only (Sec. III-E). `cache` (may be null) is the run's
-// corpus-wide token-pair cache, only consulted on the token-id path.
+// filters only (Sec. III-E).
 void FilterAndVerify(const Corpus& corpus_a, const Corpus& corpus_b,
                      const TsjOptions& options, VerifyTally* tally,
-                     TokenPairCache* cache, uint32_t a, uint32_t b,
-                     std::vector<TsjPair>* out) {
+                     uint32_t a, uint32_t b, std::vector<TsjPair>* out) {
   const double t = options.threshold;
   const size_t la = corpus_a.aggregate_length(a);
   const size_t lb = corpus_b.aggregate_length(b);
@@ -146,18 +114,15 @@ void FilterAndVerify(const Corpus& corpus_a, const Corpus& corpus_b,
   // the NSLD threshold converts to an integer SLD budget (tokenized/sld.h),
   // and the bounded path only ever skips work, never changes the decision
   // or the reported NSLD.
-  SldVerifyScratch& scratch = VerifyScratch();
-  scratch.use_l1_cache = options.enable_l1_verify_cache;
-  scratch.use_batched_verify = options.enable_batched_verify;
+  thread_local SldVerifyScratch scratch;
   if (options.enable_budgeted_verify) {
     const int64_t budget = SldBudgetFromThreshold(t, la, lb);
     BoundedSldResult verdict;
     if (options.enable_token_id_verify && &corpus_a == &corpus_b) {
       // Token-id verification: both sides live in one interned id space,
-      // so the engine reads token texts in place — no materialization —
-      // and the corpus-wide cache can short-circuit repeated edges.
+      // so the engine reads token texts in place — no materialization.
       verdict = BoundedSld(corpus_a, corpus_a.tokens(a), corpus_b.tokens(b),
-                           budget, options.aligning, &scratch, cache);
+                           budget, options.aligning, &scratch);
     } else {
       corpus_a.MaterializeInto(a, &scratch.x);
       corpus_b.MaterializeInto(b, &scratch.y);
@@ -166,10 +131,6 @@ void FilterAndVerify(const Corpus& corpus_a, const Corpus& corpus_b,
     }
     AddWorkUnits(verdict.work_units);
     tally->verify_work_units += verdict.work_units;
-    tally->batched_verify_calls += verdict.batched_verify_calls;
-    tally->batched_verify_lanes_filled += verdict.batched_verify_lanes_filled;
-    tally->batched_verify_lane_slots += verdict.batched_verify_lane_slots;
-    tally->peq_table_reuses += verdict.peq_table_reuses;
     if (verdict.within_budget) {
       out->push_back(TsjPair{a, b, NsldFromSld(verdict.sld, la, lb)});
     }
@@ -186,20 +147,6 @@ void FilterAndVerify(const Corpus& corpus_a, const Corpus& corpus_b,
   if (nsld <= t) {
     out->push_back(TsjPair{a, b, nsld});
   }
-}
-
-// The run's token-pair cache: the caller-shared one when provided (warm
-// starts across runs), otherwise `local`; null when the id path or the
-// cache is disabled, which turns every lookup off.
-TokenPairCache* SelectPairCache(const TsjOptions& options,
-                                TokenPairCache* local) {
-  if (!options.enable_budgeted_verify || !options.enable_token_id_verify ||
-      !options.enable_token_pair_cache) {
-    return nullptr;
-  }
-  return options.shared_token_pair_cache != nullptr
-             ? options.shared_token_pair_cache
-             : local;
 }
 
 // A group's strings as (aggregate length, id), sorted ascending: the window
@@ -273,20 +220,6 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
   TsjRunInfo local_info;
   Counters counters;
   const double t = options_.threshold;
-  TokenPairCache local_cache;
-  TokenPairCache* const pair_cache = SelectPairCache(options_, &local_cache);
-  const uint64_t cache_hits_before =
-      pair_cache != nullptr ? pair_cache->hits() : 0;
-  const uint64_t cache_misses_before =
-      pair_cache != nullptr ? pair_cache->misses() : 0;
-  const uint64_t cache_l1_hits_before =
-      pair_cache != nullptr ? pair_cache->l1_hits() : 0;
-  const uint64_t cache_l1_misses_before =
-      pair_cache != nullptr ? pair_cache->l1_misses() : 0;
-  const uint64_t cache_flush_batches_before =
-      pair_cache != nullptr ? pair_cache->flush_batches() : 0;
-  const uint64_t cache_flushed_records_before =
-      pair_cache != nullptr ? pair_cache->flushed_records() : 0;
   // One gauge threads through every job of the run (and the candidate
   // vectors between jobs), so TsjRunInfo reports the pipeline-wide peak of
   // shuffle-resident records.
@@ -478,48 +411,34 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
   const Corpus& corpus_ref = corpus;
   const TsjOptions& options_ref = options_;
 
-  // Partition-task boundary: fully drain the verify worker's deferred
-  // cache upserts, so everything this run computed reaches the shared
-  // tier by job end even when no group-level batch ever filled. Set here
-  // — after massjoin captured its own copy of mr_options — so only the
-  // dedup/verify jobs run it.
-  if (pair_cache != nullptr) {
-    mr_options.reduce_partition_epilogue = [pair_cache] {
-      VerifyScratch().l1.Flush(pair_cache);
-    };
-  }
-
   // One grouping-on-one-string dedup+verify body for both engine modes
   // (the legacy reducer adapts its vector to a span): keeping a single
   // copy is what makes the legacy path a trustworthy differential
   // reference for the streaming one.
-  auto verify_one_string_group = [&corpus_ref, &options_ref, &counters,
-                                  pair_cache](const uint32_t& key,
-                                              std::span<uint32_t> others,
-                                              std::vector<TsjPair>* out) {
+  auto verify_one_string_group = [&corpus_ref, &options_ref, &counters](
+                                     const uint32_t& key,
+                                     std::span<uint32_t> others,
+                                     std::vector<TsjPair>* out) {
     AddWorkUnits(others.size());
     const std::span<uint32_t> distinct = DedupRun(others);
     VerifyTally tally;
     tally.distinct_candidates = distinct.size();
     for (uint32_t other : distinct) {
       FilterAndVerify(corpus_ref, corpus_ref, options_ref, &tally,
-                      pair_cache, std::min(key, other), std::max(key, other),
-                      out);
+                      std::min(key, other), std::max(key, other), out);
     }
     counters.Publish(tally);  // reduce-group boundary
-    FlushVerifyCache(pair_cache);
   };
   // Likewise for grouping-on-both-strings: one distinct pair per group.
-  auto verify_pair_group = [&corpus_ref, &options_ref, &counters, pair_cache](
+  auto verify_pair_group = [&corpus_ref, &options_ref, &counters](
                                const std::pair<uint32_t, uint32_t>& key,
                                size_t duplicates, std::vector<TsjPair>* out) {
     AddWorkUnits(duplicates);  // duplicate copies read and discarded
     VerifyTally tally;
     tally.distinct_candidates = 1;
-    FilterAndVerify(corpus_ref, corpus_ref, options_ref, &tally, pair_cache,
-                    key.first, key.second, out);
+    FilterAndVerify(corpus_ref, corpus_ref, options_ref, &tally, key.first,
+                    key.second, out);
     counters.Publish(tally);  // reduce-group boundary
-    FlushVerifyCache(pair_cache);
   };
 
   if (options_.enable_streaming_shuffle) {
@@ -699,24 +618,6 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
   local_info.histogram_filtered = counters.histogram_filtered;
   local_info.verified_candidates = counters.verified_candidates;
   local_info.verify_work_units = counters.verify_work_units;
-  local_info.batched_verify_calls = counters.batched_verify_calls;
-  local_info.batched_verify_lanes_filled = counters.batched_verify_lanes_filled;
-  local_info.batched_verify_lane_slots = counters.batched_verify_lane_slots;
-  local_info.peq_table_reuses = counters.peq_table_reuses;
-  if (pair_cache != nullptr) {
-    // Deltas, so a caller-shared warm cache reports this run's traffic.
-    local_info.token_pair_cache_hits = pair_cache->hits() - cache_hits_before;
-    local_info.token_pair_cache_misses =
-        pair_cache->misses() - cache_misses_before;
-    local_info.token_pair_cache_l1_hits =
-        pair_cache->l1_hits() - cache_l1_hits_before;
-    local_info.token_pair_cache_l1_misses =
-        pair_cache->l1_misses() - cache_l1_misses_before;
-    local_info.token_pair_cache_flush_batches =
-        pair_cache->flush_batches() - cache_flush_batches_before;
-    local_info.token_pair_cache_flushed_records =
-        pair_cache->flushed_records() - cache_flushed_records_before;
-  }
   local_info.combiner_input_records =
       local_info.pipeline.total_combiner_input_records();
   local_info.combiner_output_records =
@@ -794,26 +695,6 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
   TsjRunInfo local_info;
   Counters counters;
   const double t = options_.threshold;
-  // The id-space-sharing precondition of the cache only holds when both
-  // sides are literally the same corpus (then Join degenerates to the
-  // self-join's verification situation); otherwise the verify falls back
-  // to the materialized byte path and the cache stays unused.
-  TokenPairCache local_cache;
-  TokenPairCache* const pair_cache =
-      (&r_corpus == &p_corpus) ? SelectPairCache(options_, &local_cache)
-                               : nullptr;
-  const uint64_t cache_hits_before =
-      pair_cache != nullptr ? pair_cache->hits() : 0;
-  const uint64_t cache_misses_before =
-      pair_cache != nullptr ? pair_cache->misses() : 0;
-  const uint64_t cache_l1_hits_before =
-      pair_cache != nullptr ? pair_cache->l1_hits() : 0;
-  const uint64_t cache_l1_misses_before =
-      pair_cache != nullptr ? pair_cache->l1_misses() : 0;
-  const uint64_t cache_flush_batches_before =
-      pair_cache != nullptr ? pair_cache->flush_batches() : 0;
-  const uint64_t cache_flushed_records_before =
-      pair_cache != nullptr ? pair_cache->flushed_records() : 0;
   ShuffleGauge gauge;
   MapReduceOptions mr_options = options_.mapreduce;
   mr_options.shuffle_gauge = &gauge;
@@ -1050,14 +931,6 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
   const Corpus& r_ref = r_corpus;
   const Corpus& p_ref = p_corpus;
 
-  // Partition-task boundary: fully drain the verify worker's deferred
-  // cache upserts (see SelfJoin; set after massjoin captured its copy).
-  if (pair_cache != nullptr) {
-    mr_options.reduce_partition_epilogue = [pair_cache] {
-      VerifyScratch().l1.Flush(pair_cache);
-    };
-  }
-
   // Shared dedup+verify bodies for both engine modes (see SelfJoin): the
   // legacy reducers adapt their vectors to spans, so the differential
   // reference and the streaming path execute the same verification code.
@@ -1073,20 +946,18 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
     for (uint32_t other : distinct) {
       const uint32_t r = key_is_p ? other : key_id;
       const uint32_t p = key_is_p ? key_id : other;
-      FilterAndVerify(r_ref, p_ref, options_, &tally, pair_cache, r, p, out);
+      FilterAndVerify(r_ref, p_ref, options_, &tally, r, p, out);
     }
     counters.Publish(tally);  // reduce-group boundary
-    FlushVerifyCache(pair_cache);
   };
   auto verify_pair_group = [&](const std::pair<uint32_t, uint32_t>& key,
                                size_t duplicates, std::vector<TsjPair>* out) {
     AddWorkUnits(duplicates);
     VerifyTally tally;
     tally.distinct_candidates = 1;
-    FilterAndVerify(r_ref, p_ref, options_, &tally, pair_cache, key.first,
-                    key.second, out);
+    FilterAndVerify(r_ref, p_ref, options_, &tally, key.first, key.second,
+                    out);
     counters.Publish(tally);  // reduce-group boundary
-    FlushVerifyCache(pair_cache);
   };
 
   if (options_.enable_streaming_shuffle) {
@@ -1262,23 +1133,6 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
   local_info.histogram_filtered = counters.histogram_filtered;
   local_info.verified_candidates = counters.verified_candidates;
   local_info.verify_work_units = counters.verify_work_units;
-  local_info.batched_verify_calls = counters.batched_verify_calls;
-  local_info.batched_verify_lanes_filled = counters.batched_verify_lanes_filled;
-  local_info.batched_verify_lane_slots = counters.batched_verify_lane_slots;
-  local_info.peq_table_reuses = counters.peq_table_reuses;
-  if (pair_cache != nullptr) {
-    local_info.token_pair_cache_hits = pair_cache->hits() - cache_hits_before;
-    local_info.token_pair_cache_misses =
-        pair_cache->misses() - cache_misses_before;
-    local_info.token_pair_cache_l1_hits =
-        pair_cache->l1_hits() - cache_l1_hits_before;
-    local_info.token_pair_cache_l1_misses =
-        pair_cache->l1_misses() - cache_l1_misses_before;
-    local_info.token_pair_cache_flush_batches =
-        pair_cache->flush_batches() - cache_flush_batches_before;
-    local_info.token_pair_cache_flushed_records =
-        pair_cache->flushed_records() - cache_flushed_records_before;
-  }
   local_info.combiner_input_records =
       local_info.pipeline.total_combiner_input_records();
   local_info.combiner_output_records =

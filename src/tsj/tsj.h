@@ -16,10 +16,11 @@
 //             SLD, so reported NSLD values match the unbounded path
 //             byte-for-byte) or "over" while skipping the DP/solver work a
 //             doomed pair would waste (Sec. III-F; exact Hungarian or
-//             greedy-token-aligning per Sec. III-G.5). When both sides
-//             share one Corpus the engine runs directly on interned
-//             token-id spans — Myers bit-parallel edge kernel, a
-//             corpus-wide TokenPairCache across candidates, and no
+//             greedy-token-aligning per Sec. III-G.5). Every distinct
+//             candidate is verified once, each bigraph edge by one scalar
+//             bounded Myers pass; no token-pair cache sits in front of
+//             the kernel. When both sides share one Corpus the engine
+//             runs directly on interned token-id spans with no
 //             per-candidate materialization; cross-corpus joins resolve
 //             ids into per-thread scratch via Corpus::MaterializeInto.
 //
@@ -88,34 +89,22 @@ struct TsjRunInfo {
   /// enable_budgeted_verify=false run measures the verification saving
   /// directly (bench_ablation does exactly that).
   uint64_t verify_work_units = 0;
-  /// Token-pair-cache probes answered by the per-worker L1 tier (no
-  /// shared-shard traffic at all; tokenized/token_pair_cache.h).
+  /// Always 0 for TSJ, which verifies without a token-pair cache or a
+  /// batched kernel. Kept only because the repository benchmark
+  /// (perfbench/bench.cc) still reads these seven fields.
   uint64_t token_pair_cache_l1_hits = 0;
-  /// L1-tier probes that missed the L1 (and either fell through to the
-  /// shared shards or recomputed below the shared-probe cost gate).
+  /// Always 0 for TSJ; kept only for the benchmark (see above).
   uint64_t token_pair_cache_l1_misses = 0;
-  /// Token-pair-cache lookups answered from the shared shards.
+  /// Always 0 for TSJ; kept only for the benchmark (see above).
   uint64_t token_pair_cache_hits = 0;
-  /// Shared-shard lookups that fell through to the LD kernel.
+  /// Always 0 for TSJ; kept only for the benchmark (see above).
   uint64_t token_pair_cache_misses = 0;
-  /// Deferred-upsert batches flushed from L1 tiers into the shared shards
-  /// (each batch takes every touched shard's spinlock once).
+  /// Always 0 for TSJ; kept only for the benchmark (see above).
   uint64_t token_pair_cache_flush_batches = 0;
-  /// Deferred upserts flushed (records; the per-edge shared-shard inserts
-  /// these batches replaced).
-  uint64_t token_pair_cache_flushed_records = 0;
-  /// Batched-verify kernel counters (distance/myers_batch.h), summed
-  /// across the run's verify calls; all zero when
-  /// TsjOptions::enable_batched_verify is off or no bigraph row had
-  /// cache-miss kernel edges. One VerifyMany batch runs per such row;
-  /// lanes_filled / lane_slots is the SIMD lane occupancy of those
-  /// batches (bench_ablation reports it as lanes%); peq_table_reuses
-  /// counts kernel texts that reused an already-built Peq table instead
-  /// of re-preprocessing the row token.
-  uint64_t batched_verify_calls = 0;
+  /// Always 0 for TSJ; kept only for the benchmark (see above).
   uint64_t batched_verify_lanes_filled = 0;
+  /// Always 0 for TSJ; kept only for the benchmark (see above).
   uint64_t batched_verify_lane_slots = 0;
-  uint64_t peq_table_reuses = 0;
   /// Records scanned by the shuffle combiner (streaming mode; pre-combine
   /// candidate volume) and records it kept. input - output is the shuffle
   /// traffic the combiner removed before the dedup/verify stage boundary.

@@ -1,15 +1,11 @@
 #include "tokenized/token_pair_cache.h"
 
-#include <set>
-#include <utility>
-#include <vector>
+#include <cstddef>
+#include <cstdint>
 
 #include "common/hash.h"
 #include "common/random.h"
 #include "gtest/gtest.h"
-#include "test_util.h"
-#include "tokenized/corpus.h"
-#include "tsj/tsj.h"
 
 namespace tsj {
 namespace {
@@ -278,95 +274,6 @@ TEST(TokenPairL1CacheTest, EvictionIsLossyButNeverWrong) {
   l1.Flush(&shared);
   EXPECT_LE(l1.size(), size_t{1} << 14);
   EXPECT_GT(shared.size(), 0u);
-}
-
-// ---- Join-level stress: warm vs. cold cache ------------------------------
-
-using PairNsld = std::set<std::pair<std::pair<uint32_t, uint32_t>, double>>;
-
-PairNsld ToPairNsld(const std::vector<TsjPair>& pairs) {
-  PairNsld s;
-  for (const auto& p : pairs) s.insert({{p.a, p.b}, p.nsld});
-  return s;
-}
-
-Corpus StressCorpus(Rng* rng, size_t n) {
-  Corpus corpus;
-  size_t added = 0;
-  while (added < n) {
-    auto base = testutil::RandomTokenizedString(rng, 1, 3, 2, 7, 3);
-    corpus.AddString(base);
-    ++added;
-    for (uint64_t c = rng->Uniform(3); c > 0 && added < n; --c) {
-      auto variant = base;
-      const size_t tok = rng->Uniform(variant.size());
-      variant[tok] = testutil::RandomEdit(rng, variant[tok], 3);
-      corpus.AddString(variant);
-      ++added;
-    }
-  }
-  return corpus;
-}
-
-TEST(TokenPairCacheStressTest, WarmAndColdJoinsAreByteIdentical) {
-  Rng rng(24680);
-  const Corpus corpus = StressCorpus(&rng, 120);
-
-  TsjOptions options;
-  options.threshold = 0.2;
-  options.max_token_frequency = 1u << 30;
-
-  // Reference: token-id path with the cache disabled entirely.
-  TsjOptions uncached = options;
-  uncached.enable_token_pair_cache = false;
-  TsjRunInfo uncached_info;
-  const auto expected =
-      TokenizedStringJoiner(uncached).SelfJoin(corpus, &uncached_info);
-  ASSERT_TRUE(expected.ok());
-  EXPECT_EQ(uncached_info.token_pair_cache_hits, 0u);
-  EXPECT_EQ(uncached_info.token_pair_cache_misses, 0u);
-
-  // Cold: same join against a fresh shared cache.
-  TokenPairCache shared;
-  TsjOptions with_shared = options;
-  with_shared.shared_token_pair_cache = &shared;
-  TsjRunInfo cold_info;
-  const auto cold =
-      TokenizedStringJoiner(with_shared).SelfJoin(corpus, &cold_info);
-  ASSERT_TRUE(cold.ok());
-  EXPECT_EQ(ToPairNsld(*cold), ToPairNsld(*expected));
-  EXPECT_GT(cold_info.token_pair_cache_misses, 0u);
-
-  // Warm: joining the same corpus again reuses the shared cache; the
-  // result stays byte-identical and the cache now answers lookups.
-  TsjRunInfo warm_info;
-  const auto warm =
-      TokenizedStringJoiner(with_shared).SelfJoin(corpus, &warm_info);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(ToPairNsld(*warm), ToPairNsld(*expected));
-  EXPECT_GT(warm_info.token_pair_cache_hits, 0u);
-  // Every edge the cold run certified at its cap (or resolved exactly) is
-  // a warm hit: the warm run repeats the same lookups, so it misses at
-  // most as often as the cold run.
-  EXPECT_LE(warm_info.token_pair_cache_misses,
-            cold_info.token_pair_cache_misses);
-  // And the warm hit rate strictly improves on the cold run's.
-  EXPECT_GT(warm_info.token_pair_cache_hits, cold_info.token_pair_cache_hits);
-}
-
-TEST(TokenPairCacheStressTest, TokenIdPathOffMatchesOn) {
-  Rng rng(13579);
-  const Corpus corpus = StressCorpus(&rng, 100);
-  TsjOptions on;
-  on.threshold = 0.15;
-  on.max_token_frequency = 1u << 30;
-  TsjOptions off = on;
-  off.enable_token_id_verify = false;  // materialized byte path
-  const auto with_ids = TokenizedStringJoiner(on).SelfJoin(corpus);
-  const auto with_bytes = TokenizedStringJoiner(off).SelfJoin(corpus);
-  ASSERT_TRUE(with_ids.ok());
-  ASSERT_TRUE(with_bytes.ok());
-  EXPECT_EQ(ToPairNsld(*with_ids), ToPairNsld(*with_bytes));
 }
 
 }  // namespace
