@@ -28,17 +28,17 @@
 // by CI alongside the shuffle counters).
 //
 // The fault-framework rows run the full configuration with the fault
-// injector explicitly disarmed (pinning the disabled FAULT_POINT cost —
-// one relaxed atomic load per site — at noise level next to the 'full'
-// row) and armed with two absorbable task-start faults (showing the
-// lossless retry cost). --fault_json <path> emits the overhead and
-// absorption counters as JSON (merged into BENCH_verify.json by CI).
+// injector explicitly disarmed (the disabled FAULT_POINT cost, one relaxed
+// atomic load per site, next to the 'full' row) and armed with two
+// absorbable task-start faults (showing the lossless retry cost).
+// --fault_json <path> emits the overhead and absorption counters as JSON
+// (merged into BENCH_verify.json by CI).
 //
 // The checkpoint rows run the full configuration sealing every map task
 // under a scratch checkpoint directory ("+ checkpointing (no fault)": the
-// pure sealing cost, within run-to-run noise by contract), then abort a
-// checkpointing run with a fatal reduce fault and restart it over the
-// sealed artifacts ("+ restart after fault": the restore-and-skip win).
+// pure sealing cost), then abort a checkpointing run with a fatal reduce
+// fault and restart it over the sealed artifacts ("+ restart after
+// fault": the restore-and-skip win).
 // --ckpt_json <path> emits the overhead, the checkpointed/skipped task
 // counts and the restart wall as JSON (merged into BENCH_verify.json by
 // CI).
@@ -172,13 +172,13 @@ bool Run(const std::string& shuffle_json_path,
     rows.push_back({"- streaming shuffle (legacy engine)", o});
   }
 
-  TablePrinter table({"configuration", "pairs", "distinct cands", "verified",
+  TablePrinter table({"configuration", "pairs", "hist pruned", "verified",
                       "verify work", "comb in>out", "peak shuffle",
                       "wall (ms)"});
   auto add_row = [&table](const std::string& name, uint64_t pairs,
                           const TsjRunInfo& info, double ms) {
     table.AddRow({name, TablePrinter::Fmt(pairs),
-                  TablePrinter::Fmt(info.distinct_candidates),
+                  TablePrinter::Fmt(info.histogram_filtered),
                   TablePrinter::Fmt(info.verified_candidates),
                   TablePrinter::Fmt(info.verify_work_units),
                   CombinerColumn(info),
@@ -299,8 +299,7 @@ bool Run(const std::string& shuffle_json_path,
 
   // ---- Checkpoint rows: the full configuration sealing every map task
   // under a scratch directory ("+ checkpointing (no fault)": the pure
-  // sealing cost, noise-level by contract since sealing rides the spill
-  // writer off the task's critical path), then a fatal-fault abort
+  // sealing cost), then a fatal-fault abort
   // followed by a restart over the sealed artifacts ("+ restart after
   // fault": validated tasks are restored instead of re-run).
   TsjRunInfo ckpt_info;
@@ -363,8 +362,7 @@ bool Run(const std::string& shuffle_json_path,
               << " ms (disarmed injector): "
               << 100.0 * (fault_disabled_wall_ms - full_wall_ms) /
                      full_wall_ms
-              << "% (noise-level by contract; FAULT_POINT is one relaxed "
-                 "atomic load when disarmed)\n";
+              << "%\n";
   }
   if (fault_absorbed_ok) {
     std::cout << "fault absorption: " << fault_absorbed_info.task_failures
@@ -380,8 +378,7 @@ bool Run(const std::string& shuffle_json_path,
               << " map tasks sealed; wall " << ckpt_wall_ms << " ms vs "
               << full_wall_ms << " ms without checkpointing: "
               << 100.0 * (ckpt_wall_ms - full_wall_ms) / full_wall_ms
-              << "% (noise-level by contract; sealing rides the spill "
-                 "writer off the critical path)\n";
+              << "%\n";
   }
   if (restart_ok) {
     std::cout << "checkpoint restart: fatal fault aborted the run with "

@@ -60,7 +60,8 @@ void Run() {
   std::vector<std::vector<uint32_t>> sets;
   sets.reserve(workload.corpus.size());
   for (uint32_t s = 0; s < workload.corpus.size(); ++s) {
-    sets.push_back(workload.corpus.tokens(s));
+    const auto tokens = workload.corpus.tokens(s);
+    sets.emplace_back(tokens.begin(), tokens.end());
   }
 
   auto ring_recall = [&ground_truth](

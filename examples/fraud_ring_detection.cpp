@@ -53,9 +53,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::cout << "similar pairs: " << pairs->size()
-            << " (candidates: " << info.distinct_candidates
-            << ", histogram-pruned: " << info.histogram_filtered
-            << ", verified: " << info.verified_candidates << ")\n";
+            << " (histogram-pruned at emit: " << info.histogram_filtered
+            << ", distinct candidates verified: " << info.verified_candidates
+            << ")\n";
 
   // ---- 3. Similarity graph -> clusters. ----------------------------------
   std::vector<std::pair<uint32_t, uint32_t>> edges;

@@ -42,11 +42,9 @@ int main(int argc, char** argv) {
             << "\n";
   std::cout << "  length-pruned at emit:  " << info.length_filtered
             << "\n";
-  std::cout << "  distinct candidates:    " << info.distinct_candidates
+  std::cout << "  hist-pruned at emit:    " << info.histogram_filtered
             << "\n";
-  std::cout << "  histogram-pruned:       " << info.histogram_filtered
-            << "\n";
-  std::cout << "  fully verified:         " << info.verified_candidates
+  std::cout << "  distinct, verified:     " << info.verified_candidates
             << "\n";
   std::cout << "  local wall time:        "
             << info.pipeline.total_wall_seconds() << " s\n\n";

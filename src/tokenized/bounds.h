@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tokenized/tokenized_string.h"
@@ -46,16 +47,40 @@ double NsldLowerBoundFromAggregateLengths(size_t len_x, size_t len_y);
 double NsldUpperBoundFromAggregateLengths(size_t len_x, size_t len_y);
 
 /// Lower bound on SLD(x, y) from the sorted token-length histograms of the
-/// two strings (as produced by SortedTokenLengths). Never exceeds the true
-/// SLD.
-int64_t SldLowerBoundFromHistograms(const std::vector<uint32_t>& lengths_x,
-                                    const std::vector<uint32_t>& lengths_y);
+/// two strings (Corpus::length_histogram, or SortedTokenLengths). Never
+/// exceeds the true SLD.
+int64_t SldLowerBoundFromHistograms(std::span<const uint32_t> lengths_x,
+                                    std::span<const uint32_t> lengths_y);
 
-/// Lower bound on NSLD from the histograms plus aggregate lengths.
-/// NSLD is monotone in SLD for fixed lengths, so plugging the SLD lower
-/// bound into Def. 4 yields a valid NSLD lower bound.
-double NsldLowerBoundFromHistograms(const std::vector<uint32_t>& lengths_x,
-                                    const std::vector<uint32_t>& lengths_y);
+/// Lower bound on NSLD from the histograms plus the aggregate lengths
+/// len_x = L(x) and len_y = L(y), which must equal the sums of the
+/// respective histograms (Corpus::aggregate_length already holds them, so
+/// the filter loops pay no re-summing). NSLD is monotone in SLD for fixed
+/// lengths, so plugging the SLD lower bound into Def. 4 yields a valid
+/// NSLD lower bound: NsldFromSld(SldLowerBoundFromHistograms(...), len_x,
+/// len_y).
+double NsldLowerBoundFromHistograms(std::span<const uint32_t> lengths_x,
+                                    std::span<const uint32_t> lengths_y,
+                                    size_t len_x, size_t len_y);
+
+/// The same bound with the aggregate lengths summed from the histograms.
+double NsldLowerBoundFromHistograms(std::span<const uint32_t> lengths_x,
+                                    std::span<const uint32_t> lengths_y);
+
+/// Vector forms of the two histogram bounds, for callers holding braced
+/// lists or SortedTokenLengths results.
+inline int64_t SldLowerBoundFromHistograms(
+    const std::vector<uint32_t>& lengths_x,
+    const std::vector<uint32_t>& lengths_y) {
+  return SldLowerBoundFromHistograms(std::span<const uint32_t>(lengths_x),
+                                     std::span<const uint32_t>(lengths_y));
+}
+inline double NsldLowerBoundFromHistograms(
+    const std::vector<uint32_t>& lengths_x,
+    const std::vector<uint32_t>& lengths_y) {
+  return NsldLowerBoundFromHistograms(std::span<const uint32_t>(lengths_x),
+                                      std::span<const uint32_t>(lengths_y));
+}
 
 }  // namespace tsj
 

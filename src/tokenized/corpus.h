@@ -7,11 +7,24 @@
 // TokenId, every tokenized string a StringId, and per-string metadata
 // (aggregate length, sorted token-length histogram) is precomputed for the
 // filters of Sec. III-E.
+//
+// Layout: per-string data lives in flat columns indexed by StringId, not in
+// per-string heap objects, so the filter loops that read two random
+// strings per candidate touch contiguous arrays only.
+//   offsets_[s] .. offsets_[s + 1]  the token occurrences of string s;
+//   token_ids_[offsets_[s] + i]     its i-th token id (multiset order);
+//   histograms_[offsets_[s] + i]    its i-th smallest token length;
+//   aggregate_lengths_[s]           L(x^t), the sum of its token lengths.
+// A string's histogram has exactly one entry per token occurrence, so the
+// token-id and histogram columns share one offsets array (CSR). Token
+// texts are one std::string per distinct token.
 
 #ifndef TSJ_TOKENIZED_CORPUS_H_
 #define TSJ_TOKENIZED_CORPUS_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -30,14 +43,15 @@ class Corpus {
   StringId AddString(const TokenizedString& tokens);
 
   /// Number of tokenized strings.
-  size_t size() const { return strings_.size(); }
+  size_t size() const { return aggregate_lengths_.size(); }
 
   /// Number of distinct tokens across the corpus.
   size_t num_distinct_tokens() const { return token_texts_.size(); }
 
-  /// Token ids of string `id` (multiset order preserved).
-  const std::vector<TokenId>& tokens(StringId id) const {
-    return strings_[id];
+  /// Token ids of string `id` (multiset order preserved). The span stays
+  /// valid until the next AddString.
+  std::span<const TokenId> tokens(StringId id) const {
+    return {token_ids_.data() + offsets_[id], offsets_[id + 1] - offsets_[id]};
   }
 
   /// Text of a token id.
@@ -49,13 +63,15 @@ class Corpus {
   }
 
   /// L(x^t): aggregate token length of string `id`.
-  size_t aggregate_length(StringId id) const {
+  uint32_t aggregate_length(StringId id) const {
     return aggregate_lengths_[id];
   }
 
-  /// Sorted token-length histogram of string `id` (Sec. III-E.2 metadata).
-  const std::vector<uint32_t>& length_histogram(StringId id) const {
-    return length_histograms_[id];
+  /// Sorted token-length histogram of string `id` (Sec. III-E.2 metadata):
+  /// its token lengths in ascending order, one entry per token occurrence.
+  /// The span stays valid until the next AddString.
+  std::span<const uint32_t> length_histogram(StringId id) const {
+    return {histograms_.data() + offsets_[id], offsets_[id + 1] - offsets_[id]};
   }
 
   /// Materializes string `id` back into its token multiset (final
@@ -76,11 +92,13 @@ class Corpus {
  private:
   TokenId InternToken(std::string_view token);
 
-  std::vector<std::vector<TokenId>> strings_;
-  std::vector<size_t> aggregate_lengths_;
-  std::vector<std::vector<uint32_t>> length_histograms_;
+  // CSR columns; see the file comment. offsets_ holds size() + 1 entries.
+  std::vector<uint32_t> offsets_{0};
+  std::vector<TokenId> token_ids_;
+  std::vector<uint32_t> histograms_;
+  std::vector<uint32_t> aggregate_lengths_;
   std::vector<std::string> token_texts_;
-  std::unordered_map<std::string, TokenId> token_ids_;
+  std::unordered_map<std::string, TokenId> token_index_;
 };
 
 }  // namespace tsj

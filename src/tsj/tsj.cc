@@ -19,11 +19,11 @@ namespace tsj {
 namespace {
 
 // A pre-dedup candidate record flowing into the dedup/verify job: either a
-// length-compatible string-id pair from the shared-token pass, or a
-// similar-token pair still to be expanded against the token postings. The
-// streaming pipeline only ever materializes the similar-token form
-// (shared-token pairs stream straight from the generating reduce into the
-// dedup shuffle). Every emit site applies the Lemma 6 length filter, so
+// filtered string-id pair from the shared-token pass, or a similar-token
+// pair still to be expanded against the token postings. The streaming
+// pipeline only ever materializes the similar-token form (shared-token
+// pairs stream straight from the generating reduce into the dedup
+// shuffle). Every emit site applies the lossless filters (PairFilter), so
 // the dedup shuffle only ever holds pairs that can still join.
 struct RawCandidate {
   uint32_t a = 0;
@@ -43,12 +43,18 @@ inline uint32_t PickGroupKey(uint32_t a, uint32_t b) {
 }
 
 // One reduce group's verify counters, tallied without atomics by
-// FilterAndVerify and published once at the group boundary.
+// VerifyCandidate and published once at the group boundary.
 struct VerifyTally {
   uint64_t distinct_candidates = 0;
-  uint64_t histogram_filtered = 0;
-  uint64_t verified_candidates = 0;
   uint64_t verify_work_units = 0;
+};
+
+// What one emit site did with the pairs it generated: how many it emitted
+// into the dedup shuffle and how many the histogram filter dropped. The
+// rest of the generated pairs were dropped by the length filter.
+struct EmitCounts {
+  uint64_t emitted = 0;
+  uint64_t histogram_filtered = 0;
 };
 
 // Thread-safe counters shared by the pipeline lambdas. Emit sites add
@@ -59,17 +65,21 @@ struct Counters {
   std::atomic<uint64_t> distinct_candidates{0};
   std::atomic<uint64_t> length_filtered{0};
   std::atomic<uint64_t> histogram_filtered{0};
-  std::atomic<uint64_t> verified_candidates{0};
   std::atomic<uint64_t> verify_work_units{0};
 
-  // Counts `generated` pre-dedup pairs of one emit site, `emitted` of
-  // which passed the length filter.
+  // Counts `generated` pre-dedup pairs of one emit site and what the
+  // filters did with them.
   void AddEmitted(std::atomic<uint64_t>* source, uint64_t generated,
-                  uint64_t emitted) {
+                  const EmitCounts& counts) {
     source->fetch_add(generated, std::memory_order_relaxed);
-    if (generated != emitted) {
-      length_filtered.fetch_add(generated - emitted,
-                                std::memory_order_relaxed);
+    const uint64_t length_pruned =
+        generated - counts.emitted - counts.histogram_filtered;
+    if (length_pruned != 0) {
+      length_filtered.fetch_add(length_pruned, std::memory_order_relaxed);
+    }
+    if (counts.histogram_filtered != 0) {
+      histogram_filtered.fetch_add(counts.histogram_filtered,
+                                   std::memory_order_relaxed);
     }
   }
 
@@ -78,38 +88,63 @@ struct Counters {
       if (value != 0) counter.fetch_add(value, std::memory_order_relaxed);
     };
     add(distinct_candidates, tally.distinct_candidates);
-    add(histogram_filtered, tally.histogram_filtered);
-    add(verified_candidates, tally.verified_candidates);
     add(verify_work_units, tally.verify_work_units);
   }
 };
 
+// A string as the emit sites see it: its aggregate length, its id and its
+// sorted token-length histogram, read once from the Corpus columns so the
+// pair loops touch no column per pair.
+struct Member {
+  uint32_t length = 0;
+  uint32_t id = 0;
+  std::span<const uint32_t> histogram;
+};
+
+inline Member MemberOf(const Corpus& corpus, uint32_t s) {
+  return Member{corpus.aggregate_length(s), s, corpus.length_histogram(s)};
+}
+
 // The Lemma 6 length filter (Sec. III-E.1) as a pair predicate: false when
-// the aggregate lengths alone prove NSLD > t. Every candidate emit site
-// calls it (when TsjOptions::enable_length_filter is on), so pruned pairs
-// never enter the dedup shuffle and FilterAndVerify needs no length check.
+// the aggregate lengths alone prove NSLD > t.
 inline bool LengthCompatible(size_t la, size_t lb, double t) {
   return NsldLowerBoundFromAggregateLengths(la, lb) <= t;
 }
 
-// Filter + verify one distinct, length-compatible candidate pair, with `a`
-// resolved against `corpus_a` and `b` against `corpus_b` (the same corpus
-// twice for self-joins); appends to `out` when the pair joins. Lossless
-// filters only (Sec. III-E).
-void FilterAndVerify(const Corpus& corpus_a, const Corpus& corpus_b,
+// Why a pair was pruned at its emit site, if it was.
+enum class Prune { kNone, kLength, kHistogram };
+
+// The two lossless filters of Sec. III-E, applied where candidates are
+// emitted: the Lemma 6 length bound, then the token-length histogram bound
+// (which dominates it but costs a walk over both histograms). Every emit
+// site calls Check, so pruned pairs never enter the dedup shuffle and
+// VerifyCandidate filters nothing.
+struct PairFilter {
+  double t = 0.0;
+  bool length = true;     // TsjOptions::enable_length_filter
+  bool histogram = true;  // TsjOptions::enable_histogram_filter
+
+  Prune Check(const Member& a, const Member& b) const {
+    if (length && !LengthCompatible(a.length, b.length, t)) {
+      return Prune::kLength;
+    }
+    if (histogram && NsldLowerBoundFromHistograms(a.histogram, b.histogram,
+                                                  a.length, b.length) > t) {
+      return Prune::kHistogram;
+    }
+    return Prune::kNone;
+  }
+};
+
+// Verifies one distinct candidate pair that passed the emit-time filters,
+// with `a` resolved against `corpus_a` and `b` against `corpus_b` (the same
+// corpus twice for self-joins); appends to `out` when the pair joins.
+void VerifyCandidate(const Corpus& corpus_a, const Corpus& corpus_b,
                      const TsjOptions& options, VerifyTally* tally,
                      uint32_t a, uint32_t b, std::vector<TsjPair>* out) {
   const double t = options.threshold;
   const size_t la = corpus_a.aggregate_length(a);
   const size_t lb = corpus_b.aggregate_length(b);
-  if (options.enable_histogram_filter &&
-      NsldLowerBoundFromHistograms(corpus_a.length_histogram(a),
-                                   corpus_b.length_histogram(b)) > t) {
-    ++tally->histogram_filtered;
-    AddWorkUnits(corpus_a.tokens(a).size() + corpus_b.tokens(b).size() + 1);
-    return;
-  }
-  ++tally->verified_candidates;
   // Final verification (Sec. III-F) through the budget-aware SLD engine —
   // the NSLD threshold converts to an integer SLD budget (tokenized/sld.h),
   // and the bounded path only ever skips work, never changes the decision
@@ -149,56 +184,103 @@ void FilterAndVerify(const Corpus& corpus_a, const Corpus& corpus_b,
   }
 }
 
-// A group's strings as (aggregate length, id), sorted ascending: the window
+// A group's strings sorted ascending by (aggregate length, id): the window
 // the emit sites walk so that the length filter ends each row at its first
 // rejected pair.
-using LengthWindow = std::vector<std::pair<size_t, uint32_t>>;
+using LengthWindow = std::vector<Member>;
 
-// Calls emit(a, b), a < b, for every unordered pair of the ascending
-// `window` that passes the length filter (every pair when `filter` is
-// off); returns the number emitted. For la <= lb the bound 1 - la/lb only
-// grows with lb, and IEEE division is monotone, so breaking at a row's
-// first rejected pair is exact: emission costs O(f + survivors), not
-// O(f^2).
-template <typename Emit>
-uint64_t EmitLengthCompatiblePairs(const LengthWindow& window, double t,
-                                   bool filter, const Emit& emit) {
-  uint64_t emitted = 0;
-  for (size_t i = 0; i < window.size(); ++i) {
-    const auto [li, si] = window[i];
-    for (size_t j = i + 1; j < window.size(); ++j) {
-      const auto [lj, sj] = window[j];
-      if (filter && !LengthCompatible(li, lj, t)) break;
-      emit(std::min(si, sj), std::max(si, sj));
-      ++emitted;
-    }
-  }
-  return emitted;
+void SortWindow(LengthWindow* window) {
+  std::sort(window->begin(), window->end(),
+            [](const Member& x, const Member& y) {
+              return x.length != y.length ? x.length < y.length : x.id < y.id;
+            });
 }
 
-// The R x P form: calls emit(r, p) for every length-compatible pair of the
-// ascending windows `rs` and `ps`; returns the number emitted. The p that
-// pass for one r form a contiguous run of `ps`, and both ends of that run
-// only move right as r grows, so the scan skips what is too short for
-// every later r and breaks past what is too long.
+// Calls emit(a, b), a < b, for every unordered pair of the ascending
+// `window` that passes `filter`. For la <= lb the length bound 1 - la/lb
+// only grows with lb, and IEEE division is monotone, so breaking at a
+// row's first length-rejected pair is exact: emission costs O(f +
+// length-compatible pairs), not O(f^2).
 template <typename Emit>
-uint64_t EmitLengthCompatibleCross(const LengthWindow& rs,
-                                   const LengthWindow& ps, double t,
-                                   bool filter, const Emit& emit) {
-  uint64_t emitted = 0;
+EmitCounts EmitFilteredPairs(const LengthWindow& window,
+                             const PairFilter& filter, const Emit& emit) {
+  EmitCounts counts;
+  for (size_t i = 0; i < window.size(); ++i) {
+    const Member& mi = window[i];
+    for (size_t j = i + 1; j < window.size(); ++j) {
+      const Member& mj = window[j];
+      const Prune prune = filter.Check(mi, mj);
+      if (prune == Prune::kLength) break;
+      if (prune == Prune::kHistogram) {
+        ++counts.histogram_filtered;
+        continue;
+      }
+      emit(std::min(mi.id, mj.id), std::max(mi.id, mj.id));
+      ++counts.emitted;
+    }
+  }
+  return counts;
+}
+
+// The R x P form: calls emit(r, p) for every pair of the ascending windows
+// `rs` and `ps` that passes `filter`. The p that pass the length filter for
+// one r form a contiguous run of `ps`, and both ends of that run only move
+// right as r grows, so the scan skips what is too short for every later r
+// and breaks past what is too long.
+template <typename Emit>
+EmitCounts EmitFilteredCross(const LengthWindow& rs, const LengthWindow& ps,
+                             const PairFilter& filter, const Emit& emit) {
+  EmitCounts counts;
   size_t lo = 0;
-  for (const auto& [lr, r] : rs) {
-    while (filter && lo < ps.size() && ps[lo].first < lr &&
-           !LengthCompatible(lr, ps[lo].first, t)) {
+  for (const Member& r : rs) {
+    while (filter.length && lo < ps.size() && ps[lo].length < r.length &&
+           !LengthCompatible(r.length, ps[lo].length, filter.t)) {
       ++lo;
     }
     for (size_t j = lo; j < ps.size(); ++j) {
-      if (filter && !LengthCompatible(lr, ps[j].first, t)) break;
-      emit(r, ps[j].second);
-      ++emitted;
+      const Prune prune = filter.Check(r, ps[j]);
+      if (prune == Prune::kLength) break;
+      if (prune == Prune::kHistogram) {
+        ++counts.histogram_filtered;
+        continue;
+      }
+      emit(r.id, ps[j].id);
+      ++counts.emitted;
     }
   }
-  return emitted;
+  return counts;
+}
+
+// Distinct surviving tokens of every string of one corpus, mapped through
+// `to_id` (a corpus-local to joint id map; identity when empty), as CSR:
+// string s owns ids[offsets[s] .. offsets[s + 1]), sorted ascending. Built
+// once per join; the postings and the shared-token map read spans of it.
+struct DistinctTokens {
+  std::vector<uint32_t> offsets{0};
+  std::vector<uint32_t> ids;
+
+  std::span<const uint32_t> of(uint32_t s) const {
+    return {ids.data() + offsets[s], offsets[s + 1] - offsets[s]};
+  }
+};
+
+DistinctTokens BuildDistinctTokens(const Corpus& corpus,
+                                   const std::vector<uint32_t>& to_id,
+                                   const std::vector<char>& surviving) {
+  DistinctTokens out;
+  out.offsets.reserve(corpus.size() + 1);
+  for (uint32_t s = 0; s < corpus.size(); ++s) {
+    const size_t begin = out.ids.size();
+    for (TokenId token : corpus.tokens(s)) {
+      const uint32_t id = to_id.empty() ? token : to_id[token];
+      if (surviving[id]) out.ids.push_back(id);
+    }
+    std::sort(out.ids.begin() + begin, out.ids.end());
+    out.ids.erase(std::unique(out.ids.begin() + begin, out.ids.end()),
+                  out.ids.end());
+    out.offsets.push_back(static_cast<uint32_t>(out.ids.size()));
+  }
+  return out;
 }
 
 // Sorts a reduce group's value run in place, dedups it, and returns the
@@ -280,21 +362,10 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
   std::vector<uint32_t> string_ids(corpus.size());
   for (uint32_t i = 0; i < corpus.size(); ++i) string_ids[i] = i;
 
-  // Distinct surviving tokens of one string, via a per-thread buffer: the
-  // map side runs once per string and must not allocate a token-vector
-  // copy every call.
-  auto for_each_distinct_token = [&corpus, &surviving](uint32_t s,
-                                                       const auto& fn) {
-    thread_local std::vector<TokenId> distinct;
-    distinct.assign(corpus.tokens(s).begin(), corpus.tokens(s).end());
-    std::sort(distinct.begin(), distinct.end());
-    distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                   distinct.end());
-    AddWorkUnits(1 + distinct.size());
-    for (TokenId token : distinct) {
-      if (surviving[token]) fn(token);
-    }
-  };
+  // Distinct surviving tokens of each string, computed once: the
+  // shared-token map and the postings both read them.
+  const DistinctTokens distinct_tokens =
+      BuildDistinctTokens(corpus, /*to_id=*/{}, surviving);
 
   // ---- Similar-token candidate generation (Sec. III-D). ----------------
   // Runs before the main job so its token pairs can feed the fused
@@ -325,15 +396,8 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
     local_info.similar_token_pairs = token_pairs.size();
 
     postings.resize(corpus.num_distinct_tokens());
-    std::vector<TokenId> distinct;
     for (uint32_t s = 0; s < corpus.size(); ++s) {
-      distinct.assign(corpus.tokens(s).begin(), corpus.tokens(s).end());
-      std::sort(distinct.begin(), distinct.end());
-      distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                     distinct.end());
-      for (TokenId token : distinct) {
-        if (surviving[token]) postings[token].push_back(s);
-      }
+      for (TokenId token : distinct_tokens.of(s)) postings[token].push_back(s);
     }
     token_pair_candidates.reserve(token_pairs.size());
     for (const NldPair& pair : token_pairs) {
@@ -361,51 +425,55 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
     }
   }
 
-  const bool length_filter = options_.enable_length_filter;
+  const PairFilter filter{t, options_.enable_length_filter,
+                          options_.enable_histogram_filter};
 
-  // Streams every length-compatible pair of one token group's strings
-  // (Sec. III-C's reduce) to emit(a, b), a < b.
-  auto emit_token_group = [&corpus, &counters, t, length_filter](
+  // Shared-token map side (Sec. III-C): one (token, string) record per
+  // distinct surviving token of the string.
+  auto for_each_token = [&distinct_tokens](uint32_t s, const auto& fn) {
+    const std::span<const uint32_t> tokens = distinct_tokens.of(s);
+    AddWorkUnits(1 + tokens.size());
+    for (uint32_t token : tokens) fn(token);
+  };
+
+  // Streams every filtered pair of one token group's strings (Sec.
+  // III-C's reduce) to emit(a, b), a < b.
+  auto emit_token_group = [&corpus, &counters, &filter](
                               std::span<const uint32_t> strings,
                               const auto& emit) {
     thread_local LengthWindow window;
     window.clear();
-    for (uint32_t s : strings) {
-      window.emplace_back(corpus.aggregate_length(s), s);
-    }
-    std::sort(window.begin(), window.end());
-    const uint64_t emitted =
-        EmitLengthCompatiblePairs(window, t, length_filter, emit);
-    AddWorkUnits(strings.size() + emitted);
+    for (uint32_t s : strings) window.push_back(MemberOf(corpus, s));
+    SortWindow(&window);
+    const EmitCounts counts = EmitFilteredPairs(window, filter, emit);
+    AddWorkUnits(strings.size() + counts.emitted + counts.histogram_filtered);
     counters.AddEmitted(&counters.shared_token_candidates,
                         static_cast<uint64_t>(strings.size()) *
                             (strings.size() - 1) / 2,
-                        emitted);
+                        counts);
   };
 
-  // Expands one similar-token pair into the length-compatible string-pair
+  // Expands one similar-token pair into the filtered string-pair
   // candidates of the postings (the dedup/verify stage's map side).
-  auto expand_token_pair = [&corpus, &postings, &counters, t,
-                            length_filter](const RawCandidate& cand,
-                                           const auto& emit) {
+  auto expand_token_pair = [&corpus, &postings, &counters, &filter](
+                               const RawCandidate& cand, const auto& emit) {
     AddWorkUnits(1 + postings[cand.a].size() * postings[cand.b].size());
     uint64_t generated = 0;
-    uint64_t emitted = 0;
+    EmitCounts counts;
     for (uint32_t s1 : postings[cand.a]) {
-      const size_t l1 = corpus.aggregate_length(s1);
+      const Member m1 = MemberOf(corpus, s1);
       for (uint32_t s2 : postings[cand.b]) {
         if (s1 == s2) continue;
         ++generated;
-        if (length_filter &&
-            !LengthCompatible(l1, corpus.aggregate_length(s2), t)) {
-          continue;
-        }
+        const Prune prune = filter.Check(m1, MemberOf(corpus, s2));
+        if (prune == Prune::kHistogram) ++counts.histogram_filtered;
+        if (prune != Prune::kNone) continue;
         emit(std::min(s1, s2), std::max(s1, s2));
-        ++emitted;
+        ++counts.emitted;
       }
     }
     counters.AddEmitted(&counters.similar_token_candidates, generated,
-                        emitted);
+                        counts);
   };
 
   const Corpus& corpus_ref = corpus;
@@ -424,7 +492,7 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
     VerifyTally tally;
     tally.distinct_candidates = distinct.size();
     for (uint32_t other : distinct) {
-      FilterAndVerify(corpus_ref, corpus_ref, options_ref, &tally,
+      VerifyCandidate(corpus_ref, corpus_ref, options_ref, &tally,
                       std::min(key, other), std::max(key, other), out);
     }
     counters.Publish(tally);  // reduce-group boundary
@@ -436,7 +504,7 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
     AddWorkUnits(duplicates);  // duplicate copies read and discarded
     VerifyTally tally;
     tally.distinct_candidates = 1;
-    FilterAndVerify(corpus_ref, corpus_ref, options_ref, &tally, key.first,
+    VerifyCandidate(corpus_ref, corpus_ref, options_ref, &tally, key.first,
                     key.second, out);
     counters.Publish(tally);  // reduce-group boundary
   };
@@ -444,12 +512,12 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
   if (options_.enable_streaming_shuffle) {
     // ---- Fused streaming pipeline: candidate generation streams into the
     // dedup/verify shuffle; the pre-dedup candidate universe is never
-    // materialized, and the shuffle holds only length-compatible pairs
-    // (every emit site applies the length filter). The similar-token
+    // materialized, and the shuffle holds only pairs that pass both
+    // filters (every emit site applies PairFilter). The similar-token
     // pairs ride along as side inputs.
     auto map_tokens = [&](const uint32_t& s,
                           PartitionedEmitter<uint32_t, uint32_t>* out) {
-      for_each_distinct_token(s, [&](TokenId token) { out->Emit(token, s); });
+      for_each_token(s, [&](uint32_t token) { out->Emit(token, s); });
     };
     JobStats stage1_stats, stage2_stats;
     gauge.Add(token_pair_candidates.size());  // side-input vector
@@ -532,13 +600,13 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
     local_info.pipeline.Add(std::move(stage2_stats));
   } else {
     // ---- Legacy two-job pipeline (the differential reference). ----------
-    // Job 1 materializes the length-compatible pre-dedup candidates; Job 2
+    // Job 1 materializes the filtered pre-dedup candidates; Job 2
     // expands, scatters, groups per key, and verifies. Both jobs emit
     // through the streaming path's emit helpers, so the candidate
     // counters match it exactly.
     auto map_tokens = [&](const uint32_t& s,
                           Emitter<uint32_t, uint32_t>* out) {
-      for_each_distinct_token(s, [&](TokenId token) { out->Emit(token, s); });
+      for_each_token(s, [&](uint32_t token) { out->Emit(token, s); });
     };
     auto reduce_shared = [&emit_token_group](const uint32_t& /*token*/,
                                              std::vector<uint32_t>* strings,
@@ -557,7 +625,7 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
     candidates.insert(candidates.end(), token_pair_candidates.begin(),
                       token_pair_candidates.end());
 
-    // ---- Job 2: expand + dedup + filter + verify. -----------------------
+    // ---- Job 2: expand + dedup + verify. --------------------------------
     auto expand = [&expand_token_pair](
                       const RawCandidate& cand,
                       const std::function<void(uint32_t, uint32_t)>& emit) {
@@ -616,7 +684,7 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
   local_info.distinct_candidates = counters.distinct_candidates;
   local_info.length_filtered = counters.length_filtered;
   local_info.histogram_filtered = counters.histogram_filtered;
-  local_info.verified_candidates = counters.verified_candidates;
+  local_info.verified_candidates = counters.distinct_candidates;
   local_info.verify_work_units = counters.verify_work_units;
   local_info.combiner_input_records =
       local_info.pipeline.total_combiner_input_records();
@@ -783,20 +851,12 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
   }
   local_info.shuffle_partitions = mr_options.num_partitions;
 
-  // Distinct surviving joint tokens of one string.
-  auto distinct_joint = [&surviving](const Corpus& corpus,
-                                     const std::vector<uint32_t>& to_joint,
-                                     uint32_t s) {
-    std::vector<uint32_t> joint;
-    joint.reserve(corpus.tokens(s).size());
-    for (TokenId token : corpus.tokens(s)) joint.push_back(to_joint[token]);
-    std::sort(joint.begin(), joint.end());
-    joint.erase(std::unique(joint.begin(), joint.end()), joint.end());
-    joint.erase(std::remove_if(joint.begin(), joint.end(),
-                               [&](uint32_t j) { return !surviving[j]; }),
-                joint.end());
-    return joint;
-  };
+  // Distinct surviving joint tokens of each string, computed once per
+  // side: the shared-token map and the postings both read them.
+  const DistinctTokens r_tokens =
+      BuildDistinctTokens(r_corpus, r_joint, surviving);
+  const DistinctTokens p_tokens =
+      BuildDistinctTokens(p_corpus, p_joint, surviving);
 
   // ---- Similar-token candidates (Sec. III-D, two-collection form). ------
   std::vector<std::vector<uint32_t>> r_postings;
@@ -822,15 +882,11 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
 
     r_postings.resize(joint_texts.size());
     for (uint32_t s = 0; s < r_corpus.size(); ++s) {
-      for (uint32_t j : distinct_joint(r_corpus, r_joint, s)) {
-        r_postings[j].push_back(s);
-      }
+      for (uint32_t j : r_tokens.of(s)) r_postings[j].push_back(s);
     }
     p_postings.resize(joint_texts.size());
     for (uint32_t s = 0; s < p_corpus.size(); ++s) {
-      for (uint32_t j : distinct_joint(p_corpus, p_joint, s)) {
-        p_postings[j].push_back(s);
-      }
+      for (uint32_t j : p_tokens.of(s)) p_postings[j].push_back(s);
     }
     token_pair_candidates.reserve(token_pairs.size());
     for (const NldPair& pair : token_pairs) {
@@ -869,12 +925,24 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
     tagged_ids.push_back(TagId(true, s));
   }
 
-  const bool length_filter = options_.enable_length_filter;
+  const PairFilter filter{t, options_.enable_length_filter,
+                          options_.enable_histogram_filter};
+
+  // Shared-token map side: one (joint token, tagged string) record per
+  // distinct surviving joint token of the string.
+  auto for_each_token = [&r_tokens, &p_tokens](uint64_t tagged,
+                                               const auto& fn) {
+    const uint32_t s = TagStringId(tagged);
+    const std::span<const uint32_t> tokens =
+        TagIsP(tagged) ? p_tokens.of(s) : r_tokens.of(s);
+    AddWorkUnits(1 + tokens.size());
+    for (uint32_t j : tokens) fn(j);
+  };
 
   // Cross product of the R-side and P-side strings sharing one token (the
-  // reduce of Sec. III-C in its two-collection form): streams its
-  // length-compatible pairs to emit(r, p).
-  auto for_each_cross = [&r_corpus, &p_corpus, &counters, t, length_filter](
+  // reduce of Sec. III-C in its two-collection form): streams its filtered
+  // pairs to emit(r, p).
+  auto for_each_cross = [&r_corpus, &p_corpus, &counters, &filter](
                             std::span<const uint64_t> values,
                             const auto& emit) {
     thread_local LengthWindow rs;
@@ -884,48 +952,44 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
     for (uint64_t tagged : values) {
       const uint32_t s = TagStringId(tagged);
       if (TagIsP(tagged)) {
-        ps.emplace_back(p_corpus.aggregate_length(s), s);
+        ps.push_back(MemberOf(p_corpus, s));
       } else {
-        rs.emplace_back(r_corpus.aggregate_length(s), s);
+        rs.push_back(MemberOf(r_corpus, s));
       }
     }
-    std::sort(rs.begin(), rs.end());
-    std::sort(ps.begin(), ps.end());
-    const uint64_t emitted =
-        EmitLengthCompatibleCross(rs, ps, t, length_filter, emit);
-    AddWorkUnits(values.size() + emitted);
+    SortWindow(&rs);
+    SortWindow(&ps);
+    const EmitCounts counts = EmitFilteredCross(rs, ps, filter, emit);
+    AddWorkUnits(values.size() + counts.emitted + counts.histogram_filtered);
     counters.AddEmitted(&counters.shared_token_candidates,
-                        static_cast<uint64_t>(rs.size()) * ps.size(),
-                        emitted);
+                        static_cast<uint64_t>(rs.size()) * ps.size(), counts);
   };
 
   // A similar token pair (j1, j2) joins R strings containing either token
-  // with P strings containing the other; only length-compatible pairs are
-  // emitted.
+  // with P strings containing the other; only filtered pairs are emitted.
   auto expand_token_pair = [&](const RawCandidate& cand, const auto& emit) {
     AddWorkUnits(1);
     uint64_t generated = 0;
-    uint64_t emitted = 0;
+    EmitCounts counts;
     auto cross = [&](uint32_t jr, uint32_t jp) {
       const uint64_t pairs = r_postings[jr].size() * p_postings[jp].size();
       AddWorkUnits(pairs);
       generated += pairs;
       for (uint32_t r : r_postings[jr]) {
-        const size_t lr = r_corpus.aggregate_length(r);
+        const Member mr = MemberOf(r_corpus, r);
         for (uint32_t p : p_postings[jp]) {
-          if (length_filter &&
-              !LengthCompatible(lr, p_corpus.aggregate_length(p), t)) {
-            continue;
-          }
+          const Prune prune = filter.Check(mr, MemberOf(p_corpus, p));
+          if (prune == Prune::kHistogram) ++counts.histogram_filtered;
+          if (prune != Prune::kNone) continue;
           emit(r, p);
-          ++emitted;
+          ++counts.emitted;
         }
       }
     };
     cross(cand.a, cand.b);
     cross(cand.b, cand.a);
     counters.AddEmitted(&counters.similar_token_candidates, generated,
-                        emitted);
+                        counts);
   };
 
   const Corpus& r_ref = r_corpus;
@@ -946,7 +1010,7 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
     for (uint32_t other : distinct) {
       const uint32_t r = key_is_p ? other : key_id;
       const uint32_t p = key_is_p ? key_id : other;
-      FilterAndVerify(r_ref, p_ref, options_, &tally, r, p, out);
+      VerifyCandidate(r_ref, p_ref, options_, &tally, r, p, out);
     }
     counters.Publish(tally);  // reduce-group boundary
   };
@@ -955,22 +1019,17 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
     AddWorkUnits(duplicates);
     VerifyTally tally;
     tally.distinct_candidates = 1;
-    FilterAndVerify(r_ref, p_ref, options_, &tally, key.first, key.second,
+    VerifyCandidate(r_ref, p_ref, options_, &tally, key.first, key.second,
                     out);
     counters.Publish(tally);  // reduce-group boundary
   };
 
   if (options_.enable_streaming_shuffle) {
     // ---- Fused streaming pipeline (two-collection form; the shuffle
-    // holds only length-compatible pairs, as in SelfJoin). ---------------
+    // holds only filtered pairs, as in SelfJoin). ----------------------
     auto map_tokens = [&](const uint64_t& tagged,
                           PartitionedEmitter<uint32_t, uint64_t>* out) {
-      const bool is_p = TagIsP(tagged);
-      const uint32_t s = TagStringId(tagged);
-      const auto joint = is_p ? distinct_joint(p_corpus, p_joint, s)
-                              : distinct_joint(r_corpus, r_joint, s);
-      AddWorkUnits(1 + joint.size());
-      for (uint32_t j : joint) out->Emit(j, tagged);
+      for_each_token(tagged, [&](uint32_t j) { out->Emit(j, tagged); });
     };
     JobStats stage1_stats, stage2_stats;
     gauge.Add(token_pair_candidates.size());  // side-input vector
@@ -1049,12 +1108,7 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
     // ---- Legacy two-job pipeline (the differential reference). ----------
     auto map_tokens = [&](const uint64_t& tagged,
                           Emitter<uint32_t, uint64_t>* out) {
-      const bool is_p = TagIsP(tagged);
-      const uint32_t s = TagStringId(tagged);
-      const auto joint = is_p ? distinct_joint(p_corpus, p_joint, s)
-                              : distinct_joint(r_corpus, r_joint, s);
-      AddWorkUnits(1 + joint.size());
-      for (uint32_t j : joint) out->Emit(j, tagged);
+      for_each_token(tagged, [&](uint32_t j) { out->Emit(j, tagged); });
     };
     auto reduce_shared = [&for_each_cross](const uint32_t& /*token*/,
                                            std::vector<uint64_t>* values,
@@ -1073,7 +1127,7 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
     candidates.insert(candidates.end(), token_pair_candidates.begin(),
                       token_pair_candidates.end());
 
-    // ---- Job 2: expand + dedup + filter + verify. -----------------------
+    // ---- Job 2: expand + dedup + verify. --------------------------------
     auto expand = [&](const RawCandidate& cand,
                       const std::function<void(uint32_t, uint32_t)>& emit) {
       if (!cand.is_token_pair) {
@@ -1131,7 +1185,7 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
   local_info.distinct_candidates = counters.distinct_candidates;
   local_info.length_filtered = counters.length_filtered;
   local_info.histogram_filtered = counters.histogram_filtered;
-  local_info.verified_candidates = counters.verified_candidates;
+  local_info.verified_candidates = counters.distinct_candidates;
   local_info.verify_work_units = counters.verify_work_units;
   local_info.combiner_input_records =
       local_info.pipeline.total_combiner_input_records();

@@ -6,10 +6,13 @@
 //             NLD-join over the token space (Sec. III-D, justified by
 //             Theorem 3);
 //   filter:   high-frequency tokens dropped up front (M, Sec. III-G.2);
-//             the Lemma 6 length filter applied where candidates are
-//             emitted, so the dedup shuffle only carries length-compatible
-//             pairs; distinct candidates pruned by the token-length-
-//             histogram SLD lower bound (Sec. III-E) — both lossless;
+//             the Lemma 6 length bound and the token-length-histogram SLD
+//             lower bound (Sec. III-E), both lossless, applied together
+//             where candidates are emitted (the shared-token reduce and
+//             the similar-token expansion), so the dedup shuffle only
+//             carries pairs that can still join. The bounds read the flat
+//             Corpus columns (tokenized/corpus.h): per string, one
+//             aggregate length and one histogram span;
 //   verify:   surviving pairs checked with the budget-aware SLD engine
 //             (tokenized/sld.h): the NSLD threshold becomes an integer SLD
 //             budget, and BoundedSld certifies "within" (with the exact
@@ -68,20 +71,25 @@ struct TsjRunInfo {
   /// Candidate pairs generated by expanding similar token pairs
   /// (pre-dedup, counted before the length filter).
   uint64_t similar_token_candidates = 0;
-  /// Distinct length-compatible candidate pairs: what the dedup stage
-  /// hands to the histogram filter and verification. Equals
-  /// histogram_filtered + verified_candidates.
+  /// Distinct candidate pairs the dedup stage hands to verification:
+  /// every one passed both emit-time filters, so this equals
+  /// verified_candidates.
   uint64_t distinct_candidates = 0;
   /// Pre-dedup pairs the length filter (Sec. III-E.1) dropped where they
   /// were emitted (shared-token reduce, similar-token expansion), so they
   /// never entered the dedup shuffle. Pairs, not distinct pairs: one pair
-  /// generated through several tokens counts once per emission. Hence
-  /// length_filtered + distinct_candidates <= shared_token_candidates +
-  /// similar_token_candidates. Zero when the filter is disabled.
+  /// generated through several tokens counts once per emission. Zero when
+  /// the filter is disabled.
   uint64_t length_filtered = 0;
-  /// Distinct candidates pruned by the histogram filter (Sec. III-E.2).
+  /// Pre-dedup pairs that passed the length filter but were dropped by
+  /// the histogram filter (Sec. III-E.2) where they were emitted; counted
+  /// like length_filtered. Every generated pair is length-pruned,
+  /// histogram-pruned or emitted once, so length_filtered +
+  /// histogram_filtered + distinct_candidates <= shared_token_candidates
+  /// + similar_token_candidates. Zero when the filter is disabled.
   uint64_t histogram_filtered = 0;
-  /// Distinct candidates that reached full SLD verification.
+  /// Distinct candidates that reached full SLD verification; equals
+  /// distinct_candidates.
   uint64_t verified_candidates = 0;
   /// Deterministic work units spent inside SLD verification (same units as
   /// SldWorkUnits). With budgeted verify this counts the operations

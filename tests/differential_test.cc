@@ -279,7 +279,9 @@ Corpus RandomJoinCorpus(Rng* rng, size_t n) {
 // Asserts that the streaming fused pipeline and the legacy two-job
 // pipeline agree on results AND on the dedup/filter counters — the
 // streaming dedup is a sorted-run scan, so any grouping bug shows up as a
-// counter drift even when the result set happens to survive.
+// counter drift even when the result set happens to survive. Both engines
+// filter through the same emit helpers, so the pre-dedup length and
+// histogram counts match too, and each verifies every distinct candidate.
 void ExpectStreamingMatchesLegacy(const TsjRunInfo& streaming,
                                   const TsjRunInfo& legacy,
                                   const std::string& context) {
@@ -297,6 +299,8 @@ void ExpectStreamingMatchesLegacy(const TsjRunInfo& streaming,
   EXPECT_EQ(streaming.histogram_filtered, legacy.histogram_filtered)
       << context;
   EXPECT_EQ(streaming.verified_candidates, legacy.verified_candidates)
+      << context;
+  EXPECT_EQ(streaming.verified_candidates, streaming.distinct_candidates)
       << context;
   EXPECT_EQ(streaming.result_pairs, legacy.result_pairs) << context;
 }

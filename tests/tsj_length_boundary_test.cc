@@ -10,8 +10,15 @@
 // through the same sweep: tokens of 65-130 characters, which take the
 // blocked (multi-word) Myers path, and a small vocabulary repeated across
 // many candidates, so the same token pairs are verified over and over.
+//
+// The token-length histogram filter (Sec. III-E.2) gets the same treatment
+// at its own boundary: pairs whose histogram bound equals T exactly (and
+// that join at NSLD = T) next to pairs whose bound is one SLD unit past
+// the largest SLD that T allows, both passing the length filter, found
+// through a shared token and through a similar token only.
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -273,6 +280,185 @@ INSTANTIATE_TEST_SUITE_P(
     Ratios, LengthBoundaryTest,
     ::testing::Values(BoundaryCase{0.1, 9, 10}, BoundaryCase{0.2, 4, 5},
                       BoundaryCase{1.0 / 3.0, 2, 3}));
+
+// Token lengths of one histogram-boundary family: `x`, a string `joins`
+// whose histogram bound against x equals T and whose NSLD is T, and a
+// string `misses` whose bound against x is NsldFromSld(budget + 1), where
+// budget is the largest SLD that T allows at their aggregate lengths.
+// Position k of every string draws from one alphabet, so token k of `joins`
+// or `misses` is token k of x with characters appended or removed, and the
+// histogram bound is the true SLD.
+struct HistogramFamily {
+  std::vector<size_t> x;
+  std::vector<size_t> joins;
+  std::vector<size_t> misses;
+};
+
+struct HistogramCase {
+  const char* name;  // the test-name suffix
+  double threshold;
+  // Two tokens, none shared: only the similar-token pass finds the pairs.
+  HistogramFamily similar;
+  // Two edited tokens plus one shared token: the shared-token pass does.
+  HistogramFamily shared;
+};
+
+// Prints the case by name, so test names do not depend on the addresses
+// of its vectors.
+void PrintTo(const HistogramCase& c, std::ostream* os) { *os << c.name; }
+
+// Two copies of x, then `joins` and `misses`, for each family. The
+// families draw from disjoint alphabets, so they do not join each other.
+std::vector<TokenizedString> HistogramStrings(const HistogramCase& c) {
+  const std::vector<std::string> alphabets = {
+      "abcdefghijklmnop", "qrstuvwxyzABCDEF", "GHIJKLMNOPQRSTUV",
+      "WXYZ0123456789!#", "$%&()*+,-./:;<=>"};
+  std::vector<TokenizedString> strings;
+  size_t first_alphabet = 0;
+  for (const HistogramFamily* family : {&c.similar, &c.shared}) {
+    auto make = [&](const std::vector<size_t>& lengths) {
+      TokenizedString tokens;
+      for (size_t k = 0; k < lengths.size(); ++k) {
+        tokens.push_back(alphabets[first_alphabet + k].substr(0, lengths[k]));
+      }
+      return tokens;
+    };
+    strings.push_back(make(family->x));
+    strings.push_back(make(family->x));
+    strings.push_back(make(family->joins));
+    strings.push_back(make(family->misses));
+    first_alphabet += family->x.size();
+  }
+  return strings;
+}
+
+std::string HistogramContext(double t, DedupStrategy dedup, bool streaming,
+                             bool histogram) {
+  return "T=" + std::to_string(t) +
+         (dedup == DedupStrategy::kGroupOnOneString ? " one" : " both") +
+         (streaming ? " streaming" : " legacy") +
+         (histogram ? " filtered" : " unfiltered");
+}
+
+class HistogramBoundaryTest : public ::testing::TestWithParam<HistogramCase> {
+};
+
+TEST_P(HistogramBoundaryTest, PairsSitOnTheHistogramBound) {
+  // Guards the corpus: each family's joining pairs have histogram bound and
+  // NSLD equal to T, its missing pairs a bound one SLD unit past T, and
+  // the length filter passes both, so only the histogram filter decides.
+  const HistogramCase c = GetParam();
+  const double t = c.threshold;
+  const Corpus corpus = MakeCorpus(HistogramStrings(c));
+  const auto oracle = Sorted(BruteForceNsldSelfJoin(corpus, t));
+  auto joined = [&](uint32_t a, uint32_t b) {
+    return std::any_of(oracle.begin(), oracle.end(), [&](const Triple& row) {
+      return std::get<0>(row) == a && std::get<1>(row) == b;
+    });
+  };
+  for (uint32_t first : {0u, 4u}) {  // the two families
+    const uint32_t joins = first + 2;
+    const uint32_t misses = first + 3;
+    for (uint32_t x : {first, first + 1}) {
+      for (uint32_t other : {joins, misses}) {
+        EXPECT_LT(NsldLowerBoundFromAggregateLengths(
+                      corpus.aggregate_length(x),
+                      corpus.aggregate_length(other)),
+                  t)
+            << other;
+      }
+      EXPECT_EQ(NsldLowerBoundFromHistograms(corpus.length_histogram(x),
+                                             corpus.length_histogram(joins)),
+                t);
+      EXPECT_EQ(Nsld(corpus.Materialize(x), corpus.Materialize(joins)), t);
+      EXPECT_TRUE(joined(x, joins));
+
+      const size_t lx = corpus.aggregate_length(x);
+      const size_t lm = corpus.aggregate_length(misses);
+      const double over =
+          NsldFromSld(SldBudgetFromThreshold(t, lx, lm) + 1, lx, lm);
+      EXPECT_GT(over, t);
+      EXPECT_EQ(NsldLowerBoundFromHistograms(corpus.length_histogram(x),
+                                             corpus.length_histogram(misses)),
+                over);
+      EXPECT_FALSE(joined(x, misses));
+    }
+  }
+}
+
+TEST_P(HistogramBoundaryTest, SelfJoinMatchesOracle) {
+  const HistogramCase c = GetParam();
+  const Corpus corpus = MakeCorpus(HistogramStrings(c));
+  const auto expected = Sorted(BruteForceNsldSelfJoin(corpus, c.threshold));
+  for (DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
+                              DedupStrategy::kGroupOnBothStrings}) {
+    for (bool streaming : {true, false}) {
+      for (bool histogram : {true, false}) {
+        const std::string context =
+            HistogramContext(c.threshold, dedup, streaming, histogram);
+        TsjOptions options = Options(c.threshold, dedup, streaming);
+        options.enable_histogram_filter = histogram;
+        TsjRunInfo info;
+        const auto result =
+            TokenizedStringJoiner(options).SelfJoin(corpus, &info);
+        ASSERT_TRUE(result.ok()) << context;
+        EXPECT_EQ(Sorted(*result), expected) << context;
+        if (histogram) {
+          EXPECT_GT(info.histogram_filtered, 0u) << context;
+        } else {
+          EXPECT_EQ(info.histogram_filtered, 0u) << context;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(HistogramBoundaryTest, JoinMatchesOracle) {
+  const HistogramCase c = GetParam();
+  std::vector<TokenizedString> strings = HistogramStrings(c);
+  const Corpus r = MakeCorpus(strings);
+  std::reverse(strings.begin(), strings.end());
+  const Corpus p = MakeCorpus(strings);
+  const auto expected = BruteForceJoin(r, p, c.threshold);
+  for (DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
+                              DedupStrategy::kGroupOnBothStrings}) {
+    for (bool streaming : {true, false}) {
+      for (bool histogram : {true, false}) {
+        const std::string context =
+            HistogramContext(c.threshold, dedup, streaming, histogram);
+        TsjOptions options = Options(c.threshold, dedup, streaming);
+        options.enable_histogram_filter = histogram;
+        TsjRunInfo info;
+        const auto result = TokenizedStringJoiner(options).Join(r, p, &info);
+        ASSERT_TRUE(result.ok()) << context;
+        EXPECT_EQ(Sorted(*result), expected) << context;
+        if (histogram) {
+          EXPECT_GT(info.histogram_filtered, 0u) << context;
+        } else {
+          EXPECT_EQ(info.histogram_filtered, 0u) << context;
+        }
+      }
+    }
+  }
+}
+
+// Lengths found by a small exhaustive search over two- and three-token
+// strings with token lengths up to 15.
+INSTANTIATE_TEST_SUITE_P(
+    Ratios, HistogramBoundaryTest,
+    ::testing::Values(
+        HistogramCase{"OneTenth", 0.1,
+                      {{6, 13}, {5, 14}, {8, 12}},
+                      {{4, 13, 2}, {3, 14, 2}, {3, 15, 2}}},
+        HistogramCase{"OneFifth", 0.2,
+                      {{1, 8}, {2, 7}, {3, 7}},
+                      {{1, 6, 2}, {2, 5, 2}, {3, 5, 2}}},
+        HistogramCase{"OneThird", 1.0 / 3.0,
+                      {{1, 4}, {2, 3}, {3, 3}},
+                      {{1, 4, 2}, {3, 3, 2}, {2, 2, 2}}}),
+    [](const ::testing::TestParamInfo<HistogramCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace tsj

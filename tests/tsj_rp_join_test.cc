@@ -209,11 +209,12 @@ TEST(TsjRpJoinTest, RunInfoConsistent) {
       TokenizedStringJoiner(Lossless(0.15)).Join(r, p, &info);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(info.result_pairs, result->size());
-  // The length filter runs where candidates are emitted, before dedup;
-  // every distinct candidate is histogram-pruned or verified.
-  EXPECT_EQ(info.distinct_candidates,
-            info.histogram_filtered + info.verified_candidates);
-  EXPECT_LE(info.length_filtered + info.distinct_candidates,
+  // Both filters run where candidates are emitted, before dedup: every
+  // generated pair is length-pruned, histogram-pruned or emitted, and
+  // every distinct emitted pair is verified.
+  EXPECT_EQ(info.distinct_candidates, info.verified_candidates);
+  EXPECT_LE(info.length_filtered + info.histogram_filtered +
+                info.distinct_candidates,
             info.shared_token_candidates + info.similar_token_candidates);
   EXPECT_EQ(info.pipeline.jobs.size(), 4u);
 }

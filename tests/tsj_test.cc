@@ -279,11 +279,12 @@ TEST(TsjTest, RunInfoCountersAreConsistent) {
       TokenizedStringJoiner(Lossless(0.15)).SelfJoin(corpus, &info);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(info.result_pairs, result->size());
-  // The length filter runs where candidates are emitted, before dedup;
-  // every distinct candidate is histogram-pruned or verified.
-  EXPECT_EQ(info.distinct_candidates,
-            info.histogram_filtered + info.verified_candidates);
-  EXPECT_LE(info.length_filtered + info.distinct_candidates,
+  // Both filters run where candidates are emitted, before dedup: every
+  // generated pair is length-pruned, histogram-pruned or emitted, and
+  // every distinct emitted pair is verified.
+  EXPECT_EQ(info.distinct_candidates, info.verified_candidates);
+  EXPECT_LE(info.length_filtered + info.histogram_filtered +
+                info.distinct_candidates,
             info.shared_token_candidates + info.similar_token_candidates);
   EXPECT_GE(info.verified_candidates, info.result_pairs);
   EXPECT_GT(info.shared_token_candidates + info.similar_token_candidates,

@@ -144,9 +144,10 @@ int main(int argc, char** argv) {
               << "dropped tokens (>M):  " << info.dropped_tokens << "\n"
               << "length-pruned pairs:  " << info.length_filtered
               << " (pre-dedup, at emit)\n"
-              << "distinct candidates:  " << info.distinct_candidates << "\n"
-              << "histogram-pruned:     " << info.histogram_filtered << "\n"
-              << "verified:             " << info.verified_candidates << "\n"
+              << "histogram-pruned:     " << info.histogram_filtered
+              << " (pre-dedup, at emit)\n"
+              << "verified candidates:  " << info.verified_candidates
+              << " (distinct)\n"
               << "pairs:                " << info.result_pairs << "\n"
               << "wall seconds:         "
               << info.pipeline.total_wall_seconds() << "\n";
