@@ -21,7 +21,7 @@ double ReduceMakespanSeconds(const JobStats& stats, uint64_t machines,
   if (machines == 0) machines = 1;
   const double per_group_overhead =
       params.group_overhead_seconds / params.worker_slowdown;
-  if (stats.group_loads.empty()) {
+  if (stats.group_loads.empty() && stats.residual_groups == 0) {
     // No per-group data: assume balanced groups of equal cost, derived
     // from the measured reduce CPU.
     const double total_cost =
@@ -34,7 +34,14 @@ double ReduceMakespanSeconds(const JobStats& stats, uint64_t machines,
     load[g.key_hash % machines] +=
         EffectiveGroupCostSeconds(g, params) + per_group_overhead;
   }
-  return *std::max_element(load.begin(), load.end());
+  // The residual groups are many light ones: spread them evenly.
+  const double residual_cost =
+      static_cast<double>(stats.residual_work_units) * params.seconds_per_unit +
+      static_cast<double>(stats.residual_unitless_records) *
+          params.fallback_record_seconds +
+      static_cast<double>(stats.residual_groups) * per_group_overhead;
+  return *std::max_element(load.begin(), load.end()) +
+         residual_cost / static_cast<double>(machines);
 }
 
 double SimulateJobSeconds(const JobStats& stats, uint64_t machines,

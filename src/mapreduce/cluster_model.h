@@ -10,14 +10,18 @@
 //   shuffle time = record overhead * map_output / W
 //   reduce time  = slowdown * makespan(W) + wave overhead, where
 //     makespan(W) = max over machines m of
-//                   sum_{groups g : hash(g) % W == m}
+//                   sum_{listed groups g : hash(g) % W == m}
 //                       (cost(g) + group instantiation overhead)
+//                   + (residual cost + residual overheads) / W
 //   job time     = scheduling overhead + map + shuffle + reduce
 //
 // cost(g) and the map cost come from the deterministic work units the
 // map/reduce functions report (work_units.h) — DP cells, solver steps,
-// emitted records — converted with one calibration constant; measured wall
-// time and record counts are fallbacks for functions that report nothing.
+// emitted records — converted with one calibration constant; record counts
+// are the fallback for reduce groups that report nothing, measured map
+// wall time for map functions that report nothing. Only the heaviest
+// groups are listed one by one; the rest arrive as residual totals and
+// are spread evenly over the machines (see ReduceMakespanSeconds).
 //
 // The two effects the paper attributes speedup loss to are both captured:
 // per-worker instantiation overhead (`group_overhead_seconds`, which also
@@ -57,8 +61,7 @@ struct ClusterModelParams {
   double group_overhead_seconds = 0.0002;
   /// Shuffle/I-O seconds per map-output record.
   double record_overhead_seconds = 30e-6;
-  /// Per-record reduce cost assumed when a group neither reports units nor
-  /// takes measurable wall time.
+  /// Per-record reduce cost assumed when a group reports no units.
   double fallback_record_seconds = 2e-6;
   /// Fixed per-job scheduling overhead, seconds.
   double job_overhead_seconds = 0.4;
@@ -68,15 +71,22 @@ struct ClusterModelParams {
 
 /// Effective cost of one reduce group under `params`, in local-core
 /// seconds, excluding instantiation overhead. Deterministic work units are
-/// preferred; measured wall seconds and the per-record fallback cover
-/// groups that report none. Exposed for tests.
+/// preferred; for groups that report none, the larger of the per-record
+/// fallback and a hand-set `cost_seconds` (the engine leaves it 0).
+/// Exposed for tests.
 double EffectiveGroupCostSeconds(const GroupLoad& group,
                                  const ClusterModelParams& params);
 
 /// The reduce-phase makespan in (local-core) seconds for `machines`
-/// machines: groups are hash-assigned, each charged its effective cost plus
-/// `group_overhead_seconds / worker_slowdown` (so the overhead is
-/// `group_overhead_seconds` of *simulated* time). Exposed for tests.
+/// machines: the listed groups (JobStats::group_loads) are hash-assigned,
+/// each charged its effective cost plus `group_overhead_seconds /
+/// worker_slowdown` (so the overhead is `group_overhead_seconds` of
+/// *simulated* time). The residual groups, light by construction, are
+/// spread evenly: every machine gets 1/machines of their work units at
+/// `seconds_per_unit`, of their unit-less records at
+/// `fallback_record_seconds`, and of their group overheads. The result is
+/// at least the average load and at least the heaviest listed group.
+/// Exposed for tests.
 double ReduceMakespanSeconds(const JobStats& stats, uint64_t machines,
                              const ClusterModelParams& params = {});
 

@@ -1,13 +1,14 @@
 // Per-job execution statistics collected by the MapReduce engine.
 //
 // Besides wall-clock observability, these statistics drive the
-// simulated-cluster cost model (cluster_model.h): each reduce group records
-// its stable key hash, record count and *measured* processing cost, which
-// lets the model re-assign groups to any number of simulated machines and
-// compute the resulting makespan — including the load skew caused by
-// popular tokens, the effect the paper highlights in Sec. V-A and V-E, and
-// the CPU-cost differences between verification modes (Hungarian vs.
-// greedy) that drive Figs. 2 and 3.
+// simulated-cluster cost model (cluster_model.h): the heaviest reduce
+// groups are listed with their stable key hash, record count and
+// deterministic work units, and the rest are summed into residual totals
+// (group_load_summary.h). That lets the model re-assign groups to any
+// number of simulated machines and compute the resulting makespan —
+// including the load skew caused by popular tokens, the effect the paper
+// highlights in Sec. V-A and V-E, and the CPU-cost differences between
+// verification modes (Hungarian vs. greedy) that drive Figs. 2 and 3.
 
 #ifndef TSJ_MAPREDUCE_JOB_STATS_H_
 #define TSJ_MAPREDUCE_JOB_STATS_H_
@@ -16,7 +17,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -52,9 +55,11 @@ class ShuffleGauge {
 };
 
 /// One reduce group: its stable key hash (used for machine assignment), the
-/// number of records that flowed into it, the deterministic work units the
-/// reduce function reported for it (see work_units.h; 0 if none reported),
-/// and the measured wall seconds it took (fallback cost source).
+/// number of records that flowed into it, and the deterministic work units
+/// the reduce function reported for it (see work_units.h; 0 if none
+/// reported). `cost_seconds` is a measured cost for loads built by hand;
+/// the engine does not time groups and leaves it 0, so a group without
+/// work units is costed by its records (EffectiveGroupCostSeconds).
 struct GroupLoad {
   uint64_t key_hash = 0;
   uint64_t records = 0;
@@ -187,9 +192,23 @@ struct JobStats {
   /// they do spill_data_loss.
   Status status;
 
-  /// Per-group loads for the simulated-cluster model. Populated when
-  /// MapReduceOptions::collect_group_loads is set.
+  /// Reduce-group loads for the simulated-cluster model, populated when
+  /// MapReduceOptions::collect_group_loads is set (group_load_summary.h).
+  /// Lists the GroupLoadSummary::kListedGroups heaviest groups by (work
+  /// units, records, key hash), heaviest first, then the group with the
+  /// most records if it is not among them: at most kListedGroups + 1
+  /// entries. A job with at most kListedGroups groups lists every group.
   std::vector<GroupLoad> group_loads;
+  /// Groups not listed in group_loads, and their summed records and work
+  /// units. Listed plus residual equals num_groups, the records reduced
+  /// and the reduce work units.
+  uint64_t residual_groups = 0;
+  uint64_t residual_records = 0;
+  uint64_t residual_work_units = 0;
+  /// The part of residual_records in groups that reported no work units;
+  /// the cluster model costs these by record, as it does a listed group
+  /// without units.
+  uint64_t residual_unitless_records = 0;
 
   double total_wall_seconds() const {
     return map_wall_seconds + shuffle_wall_seconds + reduce_wall_seconds;
@@ -202,8 +221,11 @@ struct PipelineStats {
 
   void Add(JobStats stats) { jobs.push_back(std::move(stats)); }
 
-  void Append(const PipelineStats& other) {
-    jobs.insert(jobs.end(), other.jobs.begin(), other.jobs.end());
+  /// Takes `other` by value: an rvalue argument moves its jobs in without
+  /// copying them.
+  void Append(PipelineStats other) {
+    jobs.insert(jobs.end(), std::make_move_iterator(other.jobs.begin()),
+                std::make_move_iterator(other.jobs.end()));
   }
 
   double total_wall_seconds() const {

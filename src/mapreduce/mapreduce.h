@@ -180,12 +180,13 @@
 //    runs an abandoned retry or losing hedge released — they are I/O
 //    meters, not result accounting.
 //
-// JobStats records per-phase record counts, wall times, per-group loads,
-// and — new with the streaming engine — shuffle-record and peak-resident
-// counters (ShuffleGauge); cluster_model.h turns the group loads into
-// simulated wall times for a cluster of W machines, which is how the
-// repository reproduces the paper's 100-to-1,000-machine sweeps (Figs. 1,
-// 7) on a single host.
+// JobStats records per-phase record counts, wall times, a bounded summary
+// of reduce-group loads (group_load_summary.h), and — new with the
+// streaming engine — shuffle-record and peak-resident counters
+// (ShuffleGauge); cluster_model.h turns the group loads into simulated
+// wall times for a cluster of W machines, which is how the repository
+// reproduces the paper's 100-to-1,000-machine sweeps (Figs. 1, 7) on a
+// single host.
 
 #ifndef TSJ_MAPREDUCE_MAPREDUCE_H_
 #define TSJ_MAPREDUCE_MAPREDUCE_H_
@@ -206,6 +207,7 @@
 #include "common/fault.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
+#include "mapreduce/group_load_summary.h"
 #include "mapreduce/job_stats.h"
 #include "mapreduce/key_hash.h"
 #include "mapreduce/spill.h"
@@ -220,7 +222,10 @@ struct MapReduceOptions {
   size_t num_workers = 0;
   /// Number of shuffle partitions (each is reduced as one unit of work).
   size_t num_partitions = 64;
-  /// Record per-group loads into JobStats for the cluster model.
+  /// Summarize reduce-group loads into JobStats for the cluster model:
+  /// the heaviest groups by work units, the group with the most records,
+  /// and residual totals for the rest (JobStats::group_loads). Bounded
+  /// space per reduce task, no clock reads per group.
   bool collect_group_loads = true;
   /// Optional pipeline-wide gauge (not owned): every Add/Sub the engine
   /// performs on its job-local gauge is mirrored here, so a multi-job
@@ -1088,14 +1093,14 @@ std::vector<std::pair<Key, Value>> MergeSortPartition(
 
 // Scans one sorted partition run by run, moving each run's values into
 // the reused `run_values` buffer and invoking `reduce_run(key, span)`
-// per run, with optional per-group load collection.
+// per run; each run's load goes into `loads` unless it is null.
 template <typename Key, typename Value, typename ReduceRun>
 void ReduceSortedRuns(std::vector<std::pair<Key, Value>>* partition,
-                      bool collect_loads, std::vector<GroupLoad>* loads,
-                      uint64_t* num_groups,
+                      GroupLoadSummary* loads, uint64_t* num_groups,
                       const ReduceRun& reduce_run) {
   StableHash hasher;
   std::vector<Value> run_values;  // reused across runs: no per-key node
+  TakeWorkUnits();  // clear leftovers from other tasks on this thread
   size_t i = 0;
   while (i < partition->size()) {
     const Key& key = (*partition)[i].first;
@@ -1106,17 +1111,9 @@ void ReduceSortedRuns(std::vector<std::pair<Key, Value>>* partition,
       run_values.push_back(std::move((*partition)[r].second));
     }
     ++*num_groups;
-    if (collect_loads) {
-      // Deterministic work units (work_units.h) are the preferred cost
-      // source for the simulated-cluster makespan; per-group wall time
-      // is kept as a fallback for reduce functions that report none.
-      Stopwatch group_watch;
-      TakeWorkUnits();
-      reduce_run(key, std::span<Value>(run_values));
-      loads->push_back(GroupLoad{hasher(key), j - i, TakeWorkUnits(),
-                                 group_watch.ElapsedSeconds()});
-    } else {
-      reduce_run(key, std::span<Value>(run_values));
+    reduce_run(key, std::span<Value>(run_values));
+    if (loads != nullptr) {
+      loads->Add(GroupLoad{hasher(key), j - i, TakeWorkUnits()});
     }
     i = j;
   }
@@ -1395,8 +1392,8 @@ template <typename Key, typename Value, typename Producers,
 Status ReduceMergedRuns(Producers* producers, size_t p,
                         SpillContext* context,
                         const CombinerFn<Key, Value>& combiner,
-                        bool collect_loads, std::vector<GroupLoad>* loads,
-                        uint64_t* num_groups, const ReduceRun& reduce_run) {
+                        GroupLoadSummary* loads, uint64_t* num_groups,
+                        const ReduceRun& reduce_run) {
   // Hierarchical pre-merge per producer, then one cursor per remaining
   // run plus one per in-memory residue.
   std::vector<std::vector<SpillRunRef>> producer_runs;
@@ -1440,6 +1437,7 @@ Status ReduceMergedRuns(Producers* producers, size_t p,
 
   RunCursorHeap<Key, Value> heap(&cursors);
   StableHash hasher;
+  TakeWorkUnits();  // clear leftovers from other tasks on this thread
   std::vector<Value> run_values;  // reused across runs, like the in-memory
                                   // mode: no per-key heap node
   Key current_key{};
@@ -1459,16 +1457,10 @@ Status ReduceMergedRuns(Producers* producers, size_t p,
       combiner(current_key, &run_values);  // merge-time re-combine
     }
     ++*num_groups;
-    if (collect_loads) {
-      Stopwatch group_watch;
-      const uint64_t records = run_values.size();
-      TakeWorkUnits();
-      reduce_run(current_key, std::span<Value>(run_values));
-      loads->push_back(GroupLoad{hasher(current_key), records,
-                                 TakeWorkUnits(),
-                                 group_watch.ElapsedSeconds()});
-    } else {
-      reduce_run(current_key, std::span<Value>(run_values));
+    const uint64_t records = run_values.size();
+    reduce_run(current_key, std::span<Value>(run_values));
+    if (loads != nullptr) {
+      loads->Add(GroupLoad{hasher(current_key), records, TakeWorkUnits()});
     }
     publish_window();
     context->resident().Sub(window);
@@ -1928,7 +1920,7 @@ std::vector<Output> RunMapReduce(
   Stopwatch reduce_watch;
   struct PartitionResult {
     std::vector<Output> outputs;
-    std::vector<GroupLoad> loads;
+    GroupLoadSummary loads;
     uint64_t num_groups = 0;
   };
   std::vector<PartitionResult> results(num_partitions);
@@ -1950,21 +1942,12 @@ std::vector<Output> RunMapReduce(
     gauge.Sub(partition_records);
     auto& result = results[p];
     result.num_groups = groups.size();
-    if (options.collect_group_loads) result.loads.reserve(groups.size());
+    TakeWorkUnits();  // clear leftovers from other tasks on this thread
     for (auto& [key, values] : groups) {
+      const uint64_t records = values.size();
+      reduce_fn(key, &values, &result.outputs);
       if (options.collect_group_loads) {
-        // Deterministic work units (work_units.h) are the preferred cost
-        // source for the simulated-cluster makespan; per-group wall time
-        // is kept as a fallback for reduce functions that report none.
-        Stopwatch group_watch;
-        const uint64_t records = values.size();
-        TakeWorkUnits();
-        reduce_fn(key, &values, &result.outputs);
-        result.loads.push_back(GroupLoad{hasher(key), records,
-                                         TakeWorkUnits(),
-                                         group_watch.ElapsedSeconds()});
-      } else {
-        reduce_fn(key, &values, &result.outputs);
+        result.loads.Add(GroupLoad{hasher(key), records, TakeWorkUnits()});
       }
     }
     gauge.Sub(partition_records);  // groups die with this task
@@ -1976,15 +1959,14 @@ std::vector<Output> RunMapReduce(
     for (const auto& r : results) total += r.outputs.size();
     outputs.reserve(total);
   }
+  GroupLoadSummary job_loads;
   for (auto& r : results) {
     local_stats.num_groups += r.num_groups;
     std::move(r.outputs.begin(), r.outputs.end(),
               std::back_inserter(outputs));
-    if (options.collect_group_loads) {
-      local_stats.group_loads.insert(local_stats.group_loads.end(),
-                                     r.loads.begin(), r.loads.end());
-    }
+    job_loads.Merge(r.loads);
   }
+  if (options.collect_group_loads) job_loads.WriteTo(&local_stats);
   local_stats.reduce_output_records = outputs.size();
   local_stats.reduce_wall_seconds = reduce_watch.ElapsedSeconds();
   local_stats.peak_shuffle_records = local_gauge.peak();
@@ -2161,7 +2143,7 @@ std::vector<Output> RunMapReduceSorted(
   Stopwatch reduce_watch;
   struct PartitionResult {
     std::vector<Output> outputs;
-    std::vector<GroupLoad> loads;
+    GroupLoadSummary loads;
     uint64_t num_groups = 0;
   };
   std::vector<PartitionResult> results(num_partitions);
@@ -2172,7 +2154,8 @@ std::vector<Output> RunMapReduceSorted(
     if (spilling) {
       Status s = mapreduce_internal::ReduceMergedRuns<Key, Value>(
           &emitters, p, spill_context.get(), combiner,
-          options.collect_group_loads, &result.loads, &result.num_groups,
+          options.collect_group_loads ? &result.loads : nullptr,
+          &result.num_groups,
           [&](const Key& key, std::span<Value> values) {
             reduce_fn(key, values, &result.outputs);
           });
@@ -2182,7 +2165,8 @@ std::vector<Output> RunMapReduceSorted(
     } else {
       auto& partition = partitions[p];
       mapreduce_internal::ReduceSortedRuns<Key, Value>(
-          &partition, options.collect_group_loads, &result.loads,
+          &partition,
+          options.collect_group_loads ? &result.loads : nullptr,
           &result.num_groups, [&](const Key& key, std::span<Value> values) {
             reduce_fn(key, values, &result.outputs);
           });
@@ -2198,15 +2182,14 @@ std::vector<Output> RunMapReduceSorted(
     for (const auto& r : results) total += r.outputs.size();
     outputs.reserve(total);
   }
+  GroupLoadSummary job_loads;
   for (auto& r : results) {
     local_stats.num_groups += r.num_groups;
     std::move(r.outputs.begin(), r.outputs.end(),
               std::back_inserter(outputs));
-    if (options.collect_group_loads) {
-      local_stats.group_loads.insert(local_stats.group_loads.end(),
-                                     r.loads.begin(), r.loads.end());
-    }
+    job_loads.Merge(r.loads);
   }
+  if (options.collect_group_loads) job_loads.WriteTo(&local_stats);
   local_stats.reduce_output_records = outputs.size();
   local_stats.reduce_wall_seconds = reduce_watch.ElapsedSeconds();
   local_stats.peak_shuffle_records = local_gauge.peak();
@@ -2522,7 +2505,7 @@ std::vector<Output> RunFusedMapReduceSorted(
   // ---- Stage 1 reduce, emitting into stage 2's shuffle. ------------------
   Stopwatch reduce1_watch;
   struct Stage1Result {
-    std::vector<GroupLoad> loads;
+    GroupLoadSummary loads;
     uint64_t num_groups = 0;
   };
   std::vector<Stage1Result> results1(num_partitions);
@@ -2534,7 +2517,8 @@ std::vector<Output> RunFusedMapReduceSorted(
     if (spilling) {
       Status s = mapreduce_internal::ReduceMergedRuns<Key1, Value1>(
           &emitters1, p, spill_context.get(), combiner1,
-          options.collect_group_loads, &result.loads, &result.num_groups,
+          options.collect_group_loads ? &result.loads : nullptr,
+          &result.num_groups,
           [&](const Key1& key, std::span<Value1> values) {
             reduce1_fn(key, values, out);
           });
@@ -2550,7 +2534,8 @@ std::vector<Output> RunFusedMapReduceSorted(
     } else {
       auto& partition = partitions1[p];
       mapreduce_internal::ReduceSortedRuns<Key1, Value1>(
-          &partition, options.collect_group_loads, &result.loads,
+          &partition,
+          options.collect_group_loads ? &result.loads : nullptr,
           &result.num_groups,
           [&](const Key1& key, std::span<Value1> values) {
             reduce1_fn(key, values, out);
@@ -2568,13 +2553,12 @@ std::vector<Output> RunFusedMapReduceSorted(
     }
     if (options.reduce_partition_epilogue) options.reduce_partition_epilogue();
   });
+  GroupLoadSummary job_loads1;
   for (auto& r : results1) {
     s1.num_groups += r.num_groups;
-    if (options.collect_group_loads) {
-      s1.group_loads.insert(s1.group_loads.end(), r.loads.begin(),
-                            r.loads.end());
-    }
+    job_loads1.Merge(r.loads);
   }
+  if (options.collect_group_loads) job_loads1.WriteTo(&s1);
   for (size_t p = 0; p < combiner2_in.size(); ++p) {
     s2.combiner_input_records +=
         combiner2_in[p] + producers2[p].spill_combiner_input();
@@ -2609,7 +2593,7 @@ std::vector<Output> RunFusedMapReduceSorted(
   Stopwatch reduce2_watch;
   struct Stage2Result {
     std::vector<Output> outputs;
-    std::vector<GroupLoad> loads;
+    GroupLoadSummary loads;
     uint64_t num_groups = 0;
   };
   std::vector<Stage2Result> results2(num_partitions);
@@ -2620,7 +2604,8 @@ std::vector<Output> RunFusedMapReduceSorted(
     if (spilling) {
       Status s = mapreduce_internal::ReduceMergedRuns<Key2, Value2>(
           &producers2, p, spill_context.get(), combiner2,
-          options.collect_group_loads, &result.loads, &result.num_groups,
+          options.collect_group_loads ? &result.loads : nullptr,
+          &result.num_groups,
           [&](const Key2& key, std::span<Value2> values) {
             reduce2_fn(key, values, &result.outputs);
           });
@@ -2630,7 +2615,8 @@ std::vector<Output> RunFusedMapReduceSorted(
     } else {
       auto& partition = partitions2[p];
       mapreduce_internal::ReduceSortedRuns<Key2, Value2>(
-          &partition, options.collect_group_loads, &result.loads,
+          &partition,
+          options.collect_group_loads ? &result.loads : nullptr,
           &result.num_groups,
           [&](const Key2& key, std::span<Value2> values) {
             reduce2_fn(key, values, &result.outputs);
@@ -2647,15 +2633,14 @@ std::vector<Output> RunFusedMapReduceSorted(
     for (const auto& r : results2) total += r.outputs.size();
     outputs.reserve(total);
   }
+  GroupLoadSummary job_loads2;
   for (auto& r : results2) {
     s2.num_groups += r.num_groups;
     std::move(r.outputs.begin(), r.outputs.end(),
               std::back_inserter(outputs));
-    if (options.collect_group_loads) {
-      s2.group_loads.insert(s2.group_loads.end(), r.loads.begin(),
-                            r.loads.end());
-    }
+    job_loads2.Merge(r.loads);
   }
+  if (options.collect_group_loads) job_loads2.WriteTo(&s2);
   s2.reduce_output_records = outputs.size();
   s2.reduce_wall_seconds = reduce2_watch.ElapsedSeconds();
   s1.peak_shuffle_records = local_gauge.peak();

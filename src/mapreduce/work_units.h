@@ -9,8 +9,8 @@
 // snapshots around every group. The simulated-cluster model converts units
 // to seconds with a single calibration constant
 // (ClusterModelParams::seconds_per_unit), measured once against the real
-// kernels (see cluster_model.h). Groups that report nothing fall back to
-// record counts / measured wall time.
+// kernels (see cluster_model.h). Reduce groups that report nothing fall
+// back to record counts, map tasks to measured wall time.
 
 #ifndef TSJ_MAPREDUCE_WORK_UNITS_H_
 #define TSJ_MAPREDUCE_WORK_UNITS_H_

@@ -5,8 +5,10 @@
 #include <span>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/hash.h"
+#include "distance/char_counts.h"
 #include "distance/myers.h"
 #include "distance/normalized_levenshtein.h"
 #include "mapreduce/cluster_model.h"
@@ -153,7 +155,20 @@ std::vector<NldPair> MassJoinSelfNldImpl(
     AddWorkUnits(1 + (out->size() - emitted_before));
   };
 
-  auto reduce_pairs = [&tokens, threshold](
+  // Per-call tables for the pairing reducer: each token's character
+  // counts, and the Lemma 8 budget of a pair by its longer length.
+  std::vector<CharCounts> char_counts(tokens.size());
+  size_t max_token_length = 0;
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    char_counts[i] = CountChars(tokens[i]);
+    max_token_length = std::max(max_token_length, tokens[i].size());
+  }
+  std::vector<uint32_t> tau_by_length(max_token_length + 1);
+  for (size_t len = 0; len <= max_token_length; ++len) {
+    tau_by_length[len] = MaxLdForNld(threshold, len, /*x_is_shorter=*/true);
+  }
+
+  auto reduce_pairs = [&tokens, &char_counts, &tau_by_length, threshold](
                           const SignatureKey& /*key*/,
                           std::span<RoleValue> values,
                           PartitionedEmitter<TokenPair, uint32_t>* out) {
@@ -164,12 +179,19 @@ std::vector<NldPair> MassJoinSelfNldImpl(
     for (const RoleValue& seg : values) {
       if (seg.is_substring_role) continue;
       const std::string& x = tokens[seg.token_id];
+      const CharCounts& x_counts = char_counts[seg.token_id];
       for (const RoleValue& sub : values) {
         if (!sub.is_substring_role) continue;
         if (seg.token_id == sub.token_id) continue;
         const std::string& y = tokens[sub.token_id];
-        const uint32_t tau = MaxLdForNld(
-            threshold, std::max(x.size(), y.size()), /*x_is_shorter=*/true);
+        const uint32_t tau = tau_by_length[std::max(x.size(), y.size())];
+        // The character-count bound rejects most pairs without the kernel
+        // (lossless: it never exceeds LD); charged one unit.
+        if (CharCountLdLowerBound(x_counts, char_counts[sub.token_id]) >
+            tau) {
+          ++units;
+          continue;
+        }
         // Charged as the banded verifier: at most (2*tau+1) cells per row.
         units += (2 * static_cast<uint64_t>(tau) + 1) *
                      std::min(x.size(), y.size()) +
@@ -237,7 +259,7 @@ StatusOr<std::vector<NldPair>> RunMassJoinSelfNld(
       MassJoinSelfNldImpl(tokens, threshold, options, &local_stats);
   const Status data_loss = local_stats.first_spill_data_loss();
   const Status task_error = local_stats.first_task_error();
-  if (stats != nullptr) stats->Append(local_stats);
+  if (stats != nullptr) stats->Append(std::move(local_stats));
   // Same fault contract as tsj/hmj: lossy spill faults and fatal task
   // errors (outputs may be incomplete) fail the join; degraded write
   // faults and retry-absorbed failures keep their complete results and

@@ -16,7 +16,8 @@
 // two groups, which can add candidates but never lose one). The reducer
 // pairs segment-role tokens with substring-role tokens sharing a
 // signature and verifies each pair on the spot: the Lemma 8 LD budget of
-// the pair's own lengths, the bounded Myers kernel, then NLD <= T. Only
+// the pair's own lengths, the character-count lower bound
+// (distance/char_counts.h), the bounded Myers kernel, then NLD <= T. Only
 // matching pairs are emitted, keyed by the normalized (a, b) token ids
 // with their LD as the value.
 //
@@ -27,7 +28,8 @@
 //
 // The result equals PassJoinSelfNld on the same input (tested), but every
 // stage is a MapReduce job with recorded JobStats — the pairing reducer
-// charges banded-verify work units for every pair it checks — so TSJ's
+// charges banded-verify work units for every pair the kernel checks and
+// one unit for a pair the count bound rejects — so TSJ's
 // cluster-time simulation covers the token join too.
 
 #ifndef TSJ_MASSJOIN_MASS_JOIN_H_

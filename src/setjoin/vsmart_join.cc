@@ -219,7 +219,7 @@ StatusOr<std::vector<VsmartPair>> RunVsmartSelfJoin(
       VsmartSelfJoinImpl(multisets, threshold, options, &local_stats);
   const Status data_loss = local_stats.first_spill_data_loss();
   const Status task_error = local_stats.first_task_error();
-  if (stats != nullptr) stats->Append(local_stats);
+  if (stats != nullptr) stats->Append(std::move(local_stats));
   // Same fault contract as tsj/hmj: lossy spill faults and fatal task
   // errors (outputs may be incomplete) fail the join; degraded write
   // faults and retry-absorbed failures keep their complete results and

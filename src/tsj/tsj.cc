@@ -596,7 +596,7 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
     gauge.Sub(token_pair_candidates.size());
     results.insert(results.end(), streamed.begin(), streamed.end());
     local_info.pipeline.Add(std::move(stage1_stats));
-    local_info.pipeline.Append(mass_stats);
+    local_info.pipeline.Append(std::move(mass_stats));
     local_info.pipeline.Add(std::move(stage2_stats));
   } else {
     // ---- Legacy two-job pipeline (the differential reference). ----------
@@ -621,7 +621,7 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
             "tsj-shared-token", string_ids, map_tokens, reduce_shared,
             mr_options, &shared_stats);
     local_info.pipeline.Add(std::move(shared_stats));
-    local_info.pipeline.Append(mass_stats);
+    local_info.pipeline.Append(std::move(mass_stats));
     candidates.insert(candidates.end(), token_pair_candidates.begin(),
                       token_pair_candidates.end());
 
@@ -1102,7 +1102,7 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
     gauge.Sub(token_pair_candidates.size());
     results.insert(results.end(), streamed.begin(), streamed.end());
     local_info.pipeline.Add(std::move(stage1_stats));
-    local_info.pipeline.Append(mass_stats);
+    local_info.pipeline.Append(std::move(mass_stats));
     local_info.pipeline.Add(std::move(stage2_stats));
   } else {
     // ---- Legacy two-job pipeline (the differential reference). ----------
@@ -1123,7 +1123,7 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
             "tsj-rp-shared-token", tagged_ids, map_tokens, reduce_shared,
             mr_options, &shared_stats);
     local_info.pipeline.Add(std::move(shared_stats));
-    local_info.pipeline.Append(mass_stats);
+    local_info.pipeline.Append(std::move(mass_stats));
     candidates.insert(candidates.end(), token_pair_candidates.begin(),
                       token_pair_candidates.end());
 

@@ -1,9 +1,11 @@
 #include "mapreduce/cluster_model.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/hash.h"
 #include "gtest/gtest.h"
+#include "mapreduce/group_load_summary.h"
 
 namespace tsj {
 namespace {
@@ -157,6 +159,37 @@ TEST(ClusterModelTest, PipelineAppendMergesJobs) {
   b.Add(MakeBalancedJob(30, 5));
   a.Append(b);
   EXPECT_EQ(a.jobs.size(), 3u);
+}
+
+TEST(ClusterModelTest, ResidualGroupsKeepMakespanBounds) {
+  // Far more groups than the summary lists: the makespan must still be at
+  // least the average load and at least the heaviest group.
+  ClusterModelParams params;
+  const double overhead =
+      params.group_overhead_seconds / params.worker_slowdown;
+  GroupLoadSummary summary;
+  double total = 0, heaviest = 0;
+  for (uint64_t g = 0; g < 20 * GroupLoadSummary::kListedGroups; ++g) {
+    // Every third group reports no units and is costed by its records.
+    const GroupLoad load{Mix64(g), 1 + g % 17,
+                         g % 3 == 0 ? 0 : (g * 7919) % 100000};
+    summary.Add(load);
+    const double cost = EffectiveGroupCostSeconds(load, params) + overhead;
+    total += cost;
+    heaviest = std::max(heaviest, cost);
+  }
+  JobStats job;
+  job.num_groups = 20 * GroupLoadSummary::kListedGroups;
+  summary.WriteTo(&job);
+  ASSERT_GT(job.residual_groups, 0u);
+  for (uint64_t machines : {1u, 3u, 64u, 1000u}) {
+    const double makespan = ReduceMakespanSeconds(job, machines, params);
+    EXPECT_GE(makespan * (1 + 1e-12), total / static_cast<double>(machines))
+        << machines;
+    EXPECT_GE(makespan, heaviest) << machines;
+  }
+  // On one machine nothing is spread: the makespan is the total load.
+  EXPECT_NEAR(ReduceMakespanSeconds(job, 1, params), total, total * 1e-12);
 }
 
 // ---- Skew-adaptive partition planning ------------------------------------

@@ -186,6 +186,30 @@ TEST(MassJoinTest, PairingReducerChargesBandedVerifyWorkUnits) {
   EXPECT_EQ((units - records) % per_pairing, 0u);
 }
 
+TEST(MassJoinTest, PairingReducerChargesOneUnitForCountRejectedPair) {
+  // Both tokens have length 8 (tau 1, two segments) and share the first
+  // segment "abcd", so the signature group (8, 8, 0, "abcd") pairs them
+  // twice: each token's segment against the other's substring. Their
+  // other four characters fall in distinct count bins, so the count bound
+  // is 4 > tau and each pairing is charged 1 unit instead of the banded
+  // (2*tau+1)*8 + 1. No other group pairs them.
+  const std::vector<std::string> tokens = {"abcdefgh", "abcdwxyz"};
+  ASSERT_EQ(MaxLdForNld(0.2, 8, /*x_is_shorter=*/true), 1u);
+  PipelineStats stats;
+  const auto pairs = MassJoinSelfNld(tokens, 0.2, {}, &stats);
+  EXPECT_TRUE(pairs.empty());
+  ASSERT_EQ(stats.jobs.size(), 2u);
+  const JobStats& generate = stats.jobs[0];
+  uint64_t units = generate.residual_work_units;
+  uint64_t records = generate.residual_records;
+  for (const GroupLoad& load : generate.group_loads) {
+    units += load.work_units;
+    records += load.records;
+  }
+  EXPECT_EQ(records, generate.map_output_records);
+  EXPECT_EQ(units - records, 2u);
+}
+
 TEST(MassJoinTest, RowsIdenticalAcrossWorkersAndSpill) {
   Rng rng(6100);
   const auto tokens = MakeTokens(&rng, 80);

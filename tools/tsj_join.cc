@@ -14,10 +14,13 @@
 //   printf 'barak obama\nobama barak\njohn smith\n' > /tmp/names.txt
 //   tsj_join --input /tmp/names.txt --threshold 0.2
 
+#include <algorithm>
+#include <cstddef>
 #include <fstream>
 #include <iostream>
 #include <string>
 
+#include "common/stopwatch.h"
 #include "tokenized/corpus_io.h"
 #include "tsj/tsj.h"
 
@@ -119,8 +122,10 @@ int main(int argc, char** argv) {
   }
 
   tsj::TsjRunInfo info;
+  const tsj::Stopwatch join_watch;
   const auto pairs = tsj::TokenizedStringJoiner(options.join)
                          .SelfJoin(loaded->corpus, &info);
+  const double join_seconds = join_watch.ElapsedSeconds();
   if (!pairs.ok()) {
     std::cerr << pairs.status().ToString() << "\n";
     return 1;
@@ -149,8 +154,24 @@ int main(int argc, char** argv) {
               << "verified candidates:  " << info.verified_candidates
               << " (distinct)\n"
               << "pairs:                " << info.result_pairs << "\n"
-              << "wall seconds:         "
+              << "wall seconds:         " << join_seconds << "\n"
+              << "  of which in jobs:   "
               << info.pipeline.total_wall_seconds() << "\n";
+    // Reduce-group skew per job: the heaviest groups by work units, then
+    // the totals of the groups not listed.
+    for (const tsj::JobStats& job : info.pipeline.jobs) {
+      std::cerr << "job " << job.name << ": " << job.num_groups
+                << " reduce groups\n";
+      const size_t top = std::min<size_t>(3, job.group_loads.size());
+      for (size_t i = 0; i < top; ++i) {
+        std::cerr << "  top " << i + 1 << ": "
+                  << job.group_loads[i].records << " records, "
+                  << job.group_loads[i].work_units << " work units\n";
+      }
+      std::cerr << "  residual: " << job.residual_groups << " groups, "
+                << job.residual_records << " records, "
+                << job.residual_work_units << " work units\n";
+    }
   }
   return 0;
 }
